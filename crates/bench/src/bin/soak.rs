@@ -14,14 +14,10 @@
 //! truncation, cache_evict, wal_rollover) that were active around it; the
 //! run fails its dispersion gate if a spike has no attributed class.
 //!
-//! Two profiles bound the experiment:
-//!
-//! * `--profile paced` (default): gradual throttle engagement plus
-//!   token-bucket-paced flushes — the configuration the dispersion gate
-//!   holds.
-//! * `--profile burst`: on/off throttling and unpaced whole-backlog flushes
-//!   on a long interval — the pre-fix behavior, kept as the control that
-//!   demonstrably violates the gate.
+//! The store runs with gradual throttle engagement and token-bucket-paced
+//! flushes — the configuration the dispersion gate holds. (The on/off
+//! throttle and unpaced flusher it replaced measured a typical dispersion of
+//! ~100 against 2–10 here; DESIGN.md §14.3 keeps the numbers.)
 //!
 //! Results: `BENCH_soak.json` at the repo root (summary + timeline, read by
 //! `cargo run -p xtask -- bench-gate --soak`) and
@@ -49,7 +45,6 @@ use pravega_common::stall::StallClass;
 use pravega_core::{ClusterConfig, LtsKind, PravegaCluster};
 use pravega_faults::{FaultPlan, FaultSpec};
 use pravega_lts::ThrottleModel;
-use pravega_segmentstore::container::ThrottleMode;
 
 /// One run's knobs. `--smoke` picks a CI-sized run; every knob can also be
 /// set individually.
@@ -62,27 +57,14 @@ struct Config {
     /// Events per second *per writer*.
     rate: usize,
     payload_bytes: usize,
-    /// `paced` (fixed tree) or `burst` (pre-fix control).
-    profile: Profile,
     /// When set, a low-rate seeded `FaultPlan` decorates LTS — the chaos
     /// variant proving graceful degradation.
     fault_seed: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Profile {
-    Paced,
-    Burst,
-}
-
-impl Profile {
-    fn name(self) -> &'static str {
-        match self {
-            Profile::Paced => "paced",
-            Profile::Burst => "burst",
-        }
-    }
-}
+/// The `profile` field of the report: one flush/throttle policy is left, and
+/// the committed baseline and `bench-gate --soak` name it.
+const PROFILE: &str = "paced";
 
 impl Config {
     fn full() -> Self {
@@ -90,12 +72,9 @@ impl Config {
             seconds: 180,
             writers: 4,
             // Each writer blocks on its ack (~2.5 ms) before the next slot,
-            // so the per-writer rate must leave headroom for stall cycles:
-            // at 100/s the burst profile oscillates (the behavior under
-            // test) instead of collapsing into unbounded queueing.
+            // so the per-writer rate must leave headroom for stall cycles.
             rate: 100,
             payload_bytes: 1024,
-            profile: Profile::Paced,
             fault_seed: None,
         }
     }
@@ -123,13 +102,6 @@ impl Config {
                 "--rate" => cfg.rate = value().parse().expect("--rate takes a usize"),
                 "--payload-bytes" => {
                     cfg.payload_bytes = value().parse().expect("--payload-bytes takes a usize");
-                }
-                "--profile" => {
-                    cfg.profile = match value().as_str() {
-                        "paced" => Profile::Paced,
-                        "burst" => Profile::Burst,
-                        other => panic!("unknown profile: {other} (paced|burst)"),
-                    };
                 }
                 "--fault-seed" => {
                     cfg.fault_seed = Some(value().parse().expect("--fault-seed takes a u64"));
@@ -171,9 +143,7 @@ fn soak_fault_spec() -> FaultSpec {
 fn cluster_config(cfg: &Config) -> ClusterConfig {
     let ingest = cfg.ingest_bytes_per_sec();
     // LTS that can absorb ~4x the ingest rate: sustainable, but slow enough
-    // that an unpaced whole-backlog flush takes long enough to hurt. Both
-    // profiles run against the same simulated device so the comparison
-    // isolates the flush/throttle policy.
+    // that tiering in bursts would hurt.
     let mut config = ClusterConfig {
         lts: LtsKind::Throttled(ThrottleModel {
             bandwidth_bytes_per_sec: (ingest * 4.0) as u64,
@@ -183,37 +153,13 @@ fn cluster_config(cfg: &Config) -> ClusterConfig {
     };
     config.container.max_batch_delay = Duration::from_millis(1);
     config.container.max_flush_bytes = 64 * 1024;
-    match cfg.profile {
-        Profile::Paced => {
-            config.container.flush_interval = Duration::from_millis(5);
-            config.container.throttle_threshold_bytes = 128 * 1024;
-            config.container.throttle_mode = ThrottleMode::Gradual;
-            // Pace tiering at 3x ingest: above the 2x surge rate (so surges
-            // drain with headroom instead of racing the pacer) but below the
-            // device's 4x bandwidth, so the pacer — not the device — shapes
-            // the flush traffic.
-            config.container.flush_bytes_per_sec = ingest * 3.0;
-            config.container.flush_burst_bytes = 128.0 * 1024.0;
-        }
-        Profile::Burst => {
-            // The pre-fix control: the flush interval accumulates a backlog
-            // that brushes the threshold near the end of each cycle, the
-            // unpaced flusher dumps it in one burst, and the on/off throttle
-            // slams writers into a 1 ms poll loop until the backlog drains
-            // back below the threshold. The interval/threshold pair is tuned
-            // for the oscillation regime: effective capacity under the wall,
-            // threshold/(interval + threshold/bandwidth), stays above the
-            // offered load so blocks recover, while per-cycle accumulation
-            // sits close enough to the threshold that crossings (and their
-            // ~interval-long stalls) recur. A longer interval drops capacity
-            // below the load and degrades into unbounded queueing, which
-            // flattens dispersion instead of spiking it.
-            config.container.flush_interval = Duration::from_millis(300);
-            config.container.throttle_threshold_bytes = 192 * 1024;
-            config.container.throttle_mode = ThrottleMode::OnOff;
-            config.container.flush_bytes_per_sec = 0.0;
-        }
-    }
+    config.container.flush_interval = Duration::from_millis(5);
+    config.container.throttle_threshold_bytes = 128 * 1024;
+    // Pace tiering at 3x ingest: above the 2x surge rate (so surges drain
+    // with headroom instead of racing the pacer) but below the device's 4x
+    // bandwidth, so the pacer — not the device — shapes the flush traffic.
+    config.container.flush_bytes_per_sec = ingest * 3.0;
+    config.container.flush_burst_bytes = 128.0 * 1024.0;
     if let Some(seed) = cfg.fault_seed {
         config.lts_faults = Some(Arc::new(FaultPlan::new(seed, soak_fault_spec())));
     }
@@ -231,8 +177,7 @@ struct WriterReport {
 /// that block's events arrive in its first 9% (a 2x ingest surge), and the
 /// rest spread evenly over the remainder. The long-run average rate stays
 /// `rate`; the surge is what separates a throttle that degrades gracefully
-/// from one that cliffs. Both profiles run the identical schedule, so the
-/// comparison isolates the store's policy, not the workload.
+/// from one that cliffs.
 fn slot_for(seq: u64, rate: u64) -> Duration {
     const BLOCK_SECS: f64 = 5.0;
     const SURGE_EVENT_FRACTION: f64 = 0.18;
@@ -483,7 +428,7 @@ fn write_report(
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"soak\",\n");
     out.push_str("  \"summary\": {\n");
-    out.push_str(&format!("    \"profile\": \"{}\",\n", cfg.profile.name()));
+    out.push_str(&format!("    \"profile\": \"{}\",\n", PROFILE));
     out.push_str(&format!("    \"seconds\": {},\n", cfg.seconds));
     out.push_str(&format!("    \"warmup_seconds\": {warmup},\n"));
     out.push_str(&format!("    \"writers\": {},\n", cfg.writers));
@@ -638,7 +583,7 @@ fn main() {
         ],
     );
     table.row(vec![
-        cfg.profile.name().to_string(),
+        PROFILE.to_string(),
         cfg.seconds.to_string(),
         acked.to_string(),
         errors.to_string(),

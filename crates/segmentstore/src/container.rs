@@ -17,6 +17,12 @@
 //! throttling, §4.3). If the WAL fails, the container shuts down and must be
 //! recovered (§4.4) — recovery replays the retained WAL over the last
 //! metadata checkpoint.
+//!
+//! This file is the facade: configuration, lifecycle (start/stop/crash) and
+//! the read-only accessors. The parts of Fig. 3 live one per module:
+//! `processor` + `durablelog` (§4.1), `state` (committed state, what §4.1
+//! applies and §4.2 serves), `readpath` (§4.2), `storagewriter` + `throttle`
+//! (§4.3) and `recovery` (§4.4). Lock order is **processor before core**.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,28 +31,25 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pravega_common::clock::{self, Clock};
-use pravega_common::crashpoints::{self, CrashHook};
-use pravega_common::future::{promise, Promise, WaitError};
+use pravega_common::clock::Clock;
+use pravega_common::crashpoints::CrashHook;
 use pravega_common::id::{ContainerId, WriterId};
 use pravega_common::metrics::{Counter, Gauge, Histogram, MetricsRegistry, TextSlot};
 use pravega_common::rate::EwmaRate;
-use pravega_common::stall::{sleep_interruptible, StallClass, StallTracker};
-use pravega_lts::{ChunkedSegmentStorage, LtsError};
+use pravega_common::stall::StallTracker;
+use pravega_lts::ChunkedSegmentStorage;
 use pravega_sync::{rank, Mutex};
 use pravega_wal::log::DurableDataLog;
 
-use crate::cache::{BlockCache, CacheConfig};
-use crate::dataframe::decode_frame;
-use crate::durablelog::{CommitSink, DurableLog, DurableLogConfig, EnqueuedOp, OpAck};
+use crate::cache::CacheConfig;
+use crate::durablelog::{CommitSink, DurableLog};
 use crate::error::SegmentError;
-use crate::metadata::{
-    ContainerSnapshot, SegmentInfoSnapshot, SegmentMetadata, SegmentSnapshotRecord,
-};
-use crate::operations::{Operation, TableEntryUpdate};
-use crate::readindex::{IndexRead, ReadIndex};
+use crate::metadata::SegmentInfoSnapshot;
+use crate::operations::Operation;
+use crate::processor::{settled, OpPromise, Processor};
+use crate::recovery;
+use crate::state::Core;
 use crate::storagewriter;
-use crate::tablesegment::TableState;
 
 /// Tuning knobs for a segment container.
 #[derive(Debug, Clone)]
@@ -67,19 +70,12 @@ pub struct ContainerConfig {
     pub max_flush_bytes: usize,
     /// Unflushed-byte level at which writer throttling engages (§4.3).
     pub throttle_threshold_bytes: u64,
-    /// How throttling engages: gradual per-append delays (default) or the
-    /// legacy on/off cliff.
-    pub throttle_mode: ThrottleMode,
-    /// Multiple of `throttle_threshold_bytes` at which gradual throttling
-    /// stops delaying and blocks outright (the hard limit on backlog).
+    /// Multiple of `throttle_threshold_bytes` at which throttling stops
+    /// delaying appends and blocks them outright (the hard limit on the
+    /// backlog). Values below `1.0` are treated as `1.0`: block at the
+    /// threshold.
     pub throttle_hard_limit_ratio: f64,
-    /// Per-append delay applied as the backlog approaches the hard limit.
-    pub throttle_max_delay: Duration,
-    /// Longest a single append may be held back before it fails with
-    /// [`SegmentError::ThrottleTimeout`].
-    pub throttle_timeout: Duration,
-    /// Sustained storage-writer flush rate in bytes/sec; `0.0` disables
-    /// pacing (whole-backlog bursts, pre-pacing behavior).
+    /// Sustained storage-writer flush rate in bytes/sec (must be positive).
     pub flush_bytes_per_sec: f64,
     /// Flush pacing burst allowance in bytes.
     pub flush_burst_bytes: f64,
@@ -99,52 +95,12 @@ impl Default for ContainerConfig {
             flush_interval: Duration::from_millis(10),
             max_flush_bytes: 1024 * 1024,
             throttle_threshold_bytes: 64 * 1024 * 1024,
-            throttle_mode: ThrottleMode::Gradual,
             throttle_hard_limit_ratio: 2.0,
-            throttle_max_delay: Duration::from_millis(20),
-            throttle_timeout: Duration::from_secs(120),
             flush_bytes_per_sec: 256.0 * 1024.0 * 1024.0,
             flush_burst_bytes: 4.0 * 1024.0 * 1024.0,
             crash_hook: CrashHook::disarmed(),
         }
     }
-}
-
-/// Writer-throttling engagement style (§4.3 backpressure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThrottleMode {
-    /// Progressive engagement: while the backlog is between the threshold
-    /// and the hard limit, each append is delayed proportionally to the
-    /// overage and then admitted; only past the hard limit do appends block.
-    /// Writers degrade smoothly instead of slamming into a wall.
-    Gradual,
-    /// Legacy cliff: appends block outright the moment the backlog crosses
-    /// the threshold. Kept so the soak harness can demonstrate the tail
-    /// latency the cliff causes (`--profile burst`).
-    OnOff,
-}
-
-/// The backlog level at which gradual throttling blocks outright.
-fn hard_limit_bytes(threshold: u64, ratio: f64) -> u64 {
-    (threshold as f64 * ratio.max(1.0)) as u64
-}
-
-/// The per-append delay for a backlog of `backlog` bytes: zero at or below
-/// `threshold`, growing linearly to `max_delay` at `hard_limit`. Monotone
-/// non-decreasing in `backlog`, so heavier backlogs always wait at least as
-/// long — and the delay vanishes the moment the backlog drains.
-pub(crate) fn throttle_delay(
-    backlog: u64,
-    threshold: u64,
-    hard_limit: u64,
-    max_delay: Duration,
-) -> Duration {
-    if backlog <= threshold {
-        return Duration::ZERO;
-    }
-    let span = hard_limit.saturating_sub(threshold).max(1) as f64;
-    let over = (backlog - threshold) as f64;
-    max_delay.mul_f64((over / span).clamp(0.0, 1.0))
 }
 
 /// Result of a segment read.
@@ -158,6 +114,18 @@ pub struct ReadResult {
     pub end_of_segment: bool,
     /// The read caught up with the tail of an unsealed segment.
     pub at_tail: bool,
+}
+
+impl ReadResult {
+    /// An empty read that caught up with the tail of an unsealed segment.
+    pub(crate) fn at_tail(offset: u64) -> Self {
+        Self {
+            offset,
+            data: Bytes::new(),
+            end_of_segment: false,
+            at_tail: true,
+        }
+    }
 }
 
 /// Successful append acknowledgement.
@@ -182,7 +150,9 @@ pub struct SegmentLoad {
 /// A pending (pipelined) append: wait for durability when needed.
 #[derive(Debug)]
 pub struct AppendHandle {
-    inner: Promise<Result<OpAck, SegmentError>>,
+    /// The segment length once this append is durable.
+    pub(crate) tail: u64,
+    pub(crate) inner: OpPromise,
 }
 
 impl AppendHandle {
@@ -192,88 +162,15 @@ impl AppendHandle {
     ///
     /// Propagates validation and durability failures.
     pub fn wait(self) -> Result<AppendOutcome, SegmentError> {
-        match self.inner.wait() {
-            Ok(Ok(OpAck::Appended { tail })) => Ok(AppendOutcome { tail }),
-            Ok(Ok(_)) => Err(SegmentError::Internal("unexpected ack kind".into())),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(SegmentError::ContainerStopped),
-        }
+        let tail = self.tail;
+        settled(self.inner.wait()).map(|()| AppendOutcome { tail })
     }
 
     /// Non-blocking poll; `None` while pending.
     pub fn try_take(&self) -> Option<Result<AppendOutcome, SegmentError>> {
-        self.inner.try_take().map(|r| match r {
-            Ok(Ok(OpAck::Appended { tail })) => Ok(AppendOutcome { tail }),
-            Ok(Ok(_)) => Err(SegmentError::Internal("unexpected ack kind".into())),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(SegmentError::ContainerStopped),
-        })
-    }
-}
-
-#[derive(Debug, Default)]
-struct PendingSegment {
-    tail: u64,
-    sealed: bool,
-    deleted: bool,
-    is_table: bool,
-    attributes: HashMap<WriterId, i64>,
-    /// Per-writer append-session fence: [`SegmentContainer::handshake`] bumps
-    /// the writer's session, and sessioned appends carrying an older value
-    /// are refused ([`SegmentError::WriterFenced`]). This keeps a dead
-    /// connection's still-queued blocks from re-applying events that the
-    /// reconnected writer is about to resend.
-    sessions: HashMap<WriterId, u64>,
-}
-
-#[derive(Debug, Default)]
-struct Processor {
-    next_seq: u64,
-    segments: HashMap<String, PendingSegment>,
-    /// Pending per-key table versions (`-1` = pending removal).
-    table_overlay: HashMap<String, HashMap<Bytes, i64>>,
-}
-
-#[derive(Debug)]
-struct SegmentState {
-    meta: SegmentMetadata,
-    index: ReadIndex,
-    table: Option<TableState>,
-}
-
-pub(crate) struct Core {
-    pub(crate) cache: BlockCache,
-    segments: HashMap<String, SegmentState>,
-    pub(crate) applied_seq: u64,
-    pub(crate) flushed: HashMap<String, u64>,
-    tail_waiters: HashMap<String, Vec<pravega_common::future::Completer<()>>>,
-    pub(crate) pending_lts_deletes: Vec<String>,
-}
-
-impl std::fmt::Debug for Core {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Core")
-            .field("segments", &self.segments.len())
-            .field("applied_seq", &self.applied_seq)
-            .finish()
-    }
-}
-
-impl Core {
-    /// `(name, committed length, sealed, start offset)` for every segment —
-    /// the storage writer's flush-target snapshot.
-    pub(crate) fn segments_overview(&self) -> Vec<(String, u64, bool, u64)> {
-        self.segments
-            .iter()
-            .map(|(name, st)| {
-                (
-                    name.clone(),
-                    st.meta.length,
-                    st.meta.sealed,
-                    st.meta.start_offset,
-                )
-            })
-            .collect()
+        let tail = self.tail;
+        let resolved = self.inner.try_take()?;
+        Some(settled(resolved).map(|()| AppendOutcome { tail }))
     }
 }
 
@@ -301,7 +198,7 @@ pub(crate) struct ContainerMetrics {
 }
 
 impl ContainerMetrics {
-    fn new(metrics: &MetricsRegistry) -> Self {
+    pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
         Self {
             throttle_engaged: metrics.counter("segmentstore.container.throttle_engaged"),
             throttle_wait_nanos: metrics.histogram("segmentstore.container.throttle_wait_nanos"),
@@ -327,7 +224,7 @@ pub(crate) struct ContainerInner {
     pub(crate) config: ContainerConfig,
     pub(crate) clock: Arc<dyn Clock>,
     pub(crate) core: Mutex<Core>,
-    processor: Mutex<Processor>,
+    pub(crate) processor: Mutex<Processor>,
     pub(crate) lts: ChunkedSegmentStorage,
     pub(crate) stopped: AtomicBool,
     pub(crate) unflushed_bytes: AtomicU64,
@@ -336,32 +233,17 @@ pub(crate) struct ContainerInner {
     /// truncation; consumed by the dedicated truncator thread so a slow
     /// truncate can never extend a flush pass.
     pub(crate) truncate_pending: AtomicBool,
-    loads: Mutex<HashMap<String, (EwmaRate, EwmaRate)>>,
+    pub(crate) loads: Mutex<HashMap<String, (EwmaRate, EwmaRate)>>,
     pub(crate) log: OnceLock<Arc<DurableLog>>,
     pub(crate) metrics: ContainerMetrics,
 }
 
-impl std::fmt::Debug for ContainerInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ContainerInner")
-            .field("id", &self.id)
-            .finish()
-    }
-}
-
-enum ReadDecision {
-    Return(ReadResult),
-    Wait(Promise<()>),
-    FetchLts { read_offset: u64, read_len: usize },
-    Fail(SegmentError),
-}
-
 impl ContainerInner {
-    fn log(&self) -> &Arc<DurableLog> {
+    pub(crate) fn log(&self) -> &DurableLog {
         self.log.get().expect("durable log initialized at start")
     }
 
-    fn check_running(&self) -> Result<(), SegmentError> {
+    pub(crate) fn check_running(&self) -> Result<(), SegmentError> {
         if self.stopped.load(Ordering::SeqCst) {
             Err(SegmentError::ContainerStopped)
         } else {
@@ -369,544 +251,17 @@ impl ContainerInner {
         }
     }
 
-    /// Holds the append back while the unflushed backlog exceeds the
-    /// throttle threshold — the integrated-tiering backpressure of §4.3.
-    ///
-    /// In [`ThrottleMode::Gradual`] the append is *delayed* proportionally to
-    /// the overage while the backlog sits between the threshold and the hard
-    /// limit, and blocks only past the hard limit; in [`ThrottleMode::OnOff`]
-    /// it blocks the moment the threshold is crossed. Either way a wait
-    /// longer than `throttle_timeout` fails with
-    /// [`SegmentError::ThrottleTimeout`] (transient — clients back off).
-    fn throttle_wait(&self) -> Result<(), SegmentError> {
-        let limit = self.config.throttle_threshold_bytes;
-        let mut backlog = self.unflushed_bytes.load(Ordering::Relaxed);
-        if backlog <= limit {
-            return Ok(());
-        }
-        self.metrics.throttle_engaged.inc();
-        let start = clock::monotonic_now();
-        let hard_limit = hard_limit_bytes(limit, self.config.throttle_hard_limit_ratio);
-        let result = loop {
-            if let Err(e) = self.check_running() {
-                break Err(e);
-            }
-            if backlog <= limit {
-                break Ok(());
-            }
-            if self.config.throttle_mode == ThrottleMode::Gradual && backlog <= hard_limit {
-                // Soft zone: hold this append back proportionally to the
-                // overage, then admit it. Ingest slows smoothly toward the
-                // flush rate instead of oscillating against a cliff.
-                let delay =
-                    throttle_delay(backlog, limit, hard_limit, self.config.throttle_max_delay);
-                sleep_interruptible(delay, &self.stopped);
-                break self.check_running();
-            }
-            // Past the hard limit (or legacy on/off past the threshold):
-            // block in short slices until the backlog recedes.
-            sleep_interruptible(Duration::from_millis(1), &self.stopped);
-            if start.elapsed() > self.config.throttle_timeout {
-                break Err(SegmentError::ThrottleTimeout {
-                    waited: start.elapsed(),
-                    backlog_bytes: backlog,
-                });
-            }
-            backlog = self.unflushed_bytes.load(Ordering::Relaxed);
-        };
-        let waited = start.elapsed();
-        self.metrics
-            .throttle_wait_nanos
-            .record(waited.as_nanos() as u64);
-        self.metrics.stalls.record(StallClass::Throttle, waited);
-        result
-    }
-
-    /// Applies one committed operation. Idempotent, so recovery can replay
-    /// any retained WAL suffix over a checkpoint.
-    fn apply_committed(&self, seq: u64, op: &Operation) {
-        let now = self.clock.now_nanos();
-        let mut table_overlay_cleanup: Option<(String, Vec<Bytes>)> = None;
-        {
-            let mut guard = self.core.lock();
-            let core = &mut *guard;
-            match op {
-                Operation::CreateSegment { segment, is_table } => {
-                    core.segments
-                        .entry(segment.clone())
-                        .or_insert_with(|| SegmentState {
-                            meta: SegmentMetadata {
-                                name: segment.clone(),
-                                is_table: *is_table,
-                                last_modified_nanos: now,
-                                ..SegmentMetadata::default()
-                            },
-                            index: ReadIndex::new(),
-                            table: is_table.then(TableState::new),
-                        });
-                    core.flushed.entry(segment.clone()).or_insert(0);
-                }
-                Operation::Append {
-                    segment,
-                    offset,
-                    data,
-                    writer_id,
-                    last_event_number,
-                    ..
-                } => {
-                    let flushed = core.flushed.get(segment).copied().unwrap_or(0);
-                    if let Some(st) = core.segments.get_mut(segment) {
-                        let end = offset + data.len() as u64;
-                        if end <= st.meta.length {
-                            // Replay of an op already reflected in metadata
-                            // (recovery): re-insert any record with unflushed
-                            // bytes. A crash mid-flush leaves the LTS length
-                            // (the recovered flush point) in the *middle* of
-                            // a record; such a straddling record must stay
-                            // resident or its suffix would exist nowhere.
-                            if end > flushed {
-                                st.index.append(&mut core.cache, *offset, data);
-                            }
-                        } else if *offset == st.meta.length {
-                            st.index.append(&mut core.cache, *offset, data);
-                            st.meta.length = end;
-                            self.unflushed_bytes
-                                .fetch_add(data.len() as u64, Ordering::Relaxed);
-                        }
-                        // (An overlapping partial append cannot be produced
-                        // by the operation processor: sequence numbers are
-                        // assigned and enqueued under one lock.)
-                        let attr = st.attributes_entry(*writer_id);
-                        *attr = (*attr).max(*last_event_number);
-                        st.meta.last_modified_nanos = now;
-                        if let Some(waiters) = core.tail_waiters.remove(segment) {
-                            for w in waiters {
-                                w.complete(());
-                            }
-                        }
-                    }
-                }
-                Operation::Seal { segment } => {
-                    if let Some(st) = core.segments.get_mut(segment) {
-                        st.meta.sealed = true;
-                        st.meta.last_modified_nanos = now;
-                    }
-                    if let Some(waiters) = core.tail_waiters.remove(segment) {
-                        for w in waiters {
-                            w.complete(());
-                        }
-                    }
-                }
-                Operation::Truncate { segment, offset } => {
-                    if let Some(st) = core.segments.get_mut(segment) {
-                        if *offset > st.meta.start_offset {
-                            st.meta.start_offset = (*offset).min(st.meta.length);
-                            st.index.evict_below(&mut core.cache, st.meta.start_offset);
-                            st.meta.last_modified_nanos = now;
-                        }
-                    }
-                }
-                Operation::Delete { segment } => {
-                    if let Some(mut st) = core.segments.remove(segment) {
-                        let unflushed_dropped = st
-                            .meta
-                            .length
-                            .saturating_sub(core.flushed.get(segment).copied().unwrap_or(0));
-                        let _ = self.unflushed_bytes.fetch_update(
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                            |v| Some(v.saturating_sub(unflushed_dropped)),
-                        );
-                        st.index.clear(&mut core.cache);
-                    }
-                    core.flushed.remove(segment);
-                    core.pending_lts_deletes.push(segment.clone());
-                    if let Some(waiters) = core.tail_waiters.remove(segment) {
-                        for w in waiters {
-                            w.complete(());
-                        }
-                    }
-                }
-                Operation::TableUpdate { segment, entries } => {
-                    if let Some(st) = core.segments.get_mut(segment) {
-                        if let Some(table) = st.table.as_mut() {
-                            table.apply_update(seq as i64, entries);
-                            st.meta.last_modified_nanos = now;
-                        }
-                    }
-                    table_overlay_cleanup = Some((
-                        segment.clone(),
-                        entries.iter().map(|e| e.key.clone()).collect(),
-                    ));
-                }
-                Operation::TableRemove { segment, keys } => {
-                    if let Some(st) = core.segments.get_mut(segment) {
-                        if let Some(table) = st.table.as_mut() {
-                            table.apply_remove(keys);
-                            st.meta.last_modified_nanos = now;
-                        }
-                    }
-                    table_overlay_cleanup = Some((segment.clone(), keys.clone()));
-                }
-                Operation::MetadataCheckpoint { .. } => {
-                    // The checkpoint *is* the state; nothing to apply.
-                }
-            }
-            core.applied_seq = core.applied_seq.max(seq);
-            self.evict_if_needed(core);
-        }
-        self.ops_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-        // Overlay entries for this op's keys are now reflected in committed
-        // state; drop them if they still carry this op's version.
-        if let Some((segment, keys)) = table_overlay_cleanup {
-            let mut processor = self.processor.lock();
-            if let Some(overlay) = processor.table_overlay.get_mut(&segment) {
-                for key in keys {
-                    if overlay.get(&key).map(|v| v.unsigned_abs()) == Some(seq) {
-                        overlay.remove(&key);
-                    }
-                }
-                if overlay.is_empty() {
-                    processor.table_overlay.remove(&segment);
-                }
-            }
-        }
-    }
-
-    fn evict_if_needed(&self, core: &mut Core) {
-        if core.cache.utilization() <= self.config.cache_high_watermark {
-            return;
-        }
-        // Eviction runs under the core lock on the apply path, so its cost
-        // is a writer-visible stall — attribute it.
-        let evict_start = clock::monotonic_now();
-        // Evict down to 80% of the high watermark.
-        let low =
-            (core.cache.capacity_bytes() as f64 * self.config.cache_high_watermark * 0.8) as u64;
-        let target = (core.cache.used_bytes() as u64).saturating_sub(low).max(1);
-        let mut freed = 0u64;
-        let names: Vec<String> = core.segments.keys().cloned().collect();
-        for name in names {
-            if freed >= target {
-                break;
-            }
-            let flushed = core.flushed.get(&name).copied().unwrap_or(0);
-            if let Some(st) = core.segments.get_mut(&name) {
-                freed += st.index.evict_lru(&mut core.cache, flushed, target - freed);
-            }
-        }
-        self.metrics
-            .stalls
-            .record(StallClass::CacheEvict, evict_start.elapsed());
-    }
-
-    /// Committed-state read decision (lock scope kept small; LTS fetches
-    /// happen outside the lock).
-    fn decide_read(
-        &self,
-        segment: &str,
-        offset: u64,
-        max_len: usize,
-        want_wait: bool,
-    ) -> ReadDecision {
-        let mut guard = self.core.lock();
-        let core = &mut *guard;
-        let Some(st) = core.segments.get_mut(segment) else {
-            return ReadDecision::Fail(SegmentError::NoSuchSegment);
-        };
-        if offset < st.meta.start_offset {
-            return ReadDecision::Fail(SegmentError::OffsetTruncated {
-                start_offset: st.meta.start_offset,
+    /// Takes `bytes` off the unflushed backlog (flushed to LTS, or deleted
+    /// before they were).
+    pub(crate) fn release_unflushed(&self, bytes: u64) {
+        let _ = self
+            .unflushed_bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(bytes))
             });
-        }
-        if offset > st.meta.length {
-            return ReadDecision::Fail(SegmentError::BeyondTail {
-                length: st.meta.length,
-            });
-        }
-        if offset == st.meta.length {
-            if st.meta.sealed {
-                return ReadDecision::Return(ReadResult {
-                    offset,
-                    data: Bytes::new(),
-                    end_of_segment: true,
-                    at_tail: false,
-                });
-            }
-            if !want_wait {
-                return ReadDecision::Return(ReadResult {
-                    offset,
-                    data: Bytes::new(),
-                    end_of_segment: false,
-                    at_tail: true,
-                });
-            }
-            let (completer, pr) = promise();
-            core.tail_waiters
-                .entry(segment.to_string())
-                .or_default()
-                .push(completer);
-            self.metrics.tail_read_waits.inc();
-            return ReadDecision::Wait(pr);
-        }
-        let available = ((st.meta.length - offset) as usize).min(max_len);
-        match st.index.read(&core.cache, offset, available) {
-            IndexRead::Hit(data) => {
-                self.metrics.cache_hits.inc();
-                ReadDecision::Return(ReadResult {
-                    offset,
-                    data,
-                    end_of_segment: false,
-                    at_tail: false,
-                })
-            }
-            IndexRead::Miss => {
-                self.metrics.cache_misses.inc();
-                // Resident data never misses above the flushed offset, so
-                // this range is in LTS. Cap the fetch at the flushed point.
-                let flushed = core.flushed.get(segment).copied().unwrap_or(0);
-                let read_len = available.min((flushed.saturating_sub(offset)) as usize);
-                if read_len == 0 {
-                    return ReadDecision::Fail(SegmentError::Internal(format!(
-                        "read miss at {offset} with flushed={flushed}: cache/index invariant broken"
-                    )));
-                }
-                ReadDecision::FetchLts {
-                    read_offset: offset,
-                    read_len,
-                }
-            }
-        }
     }
 
-    fn read(
-        &self,
-        segment: &str,
-        offset: u64,
-        max_len: usize,
-        wait: Option<Duration>,
-    ) -> Result<ReadResult, SegmentError> {
-        let deadline = wait.map(|d| clock::monotonic_now() + d);
-        loop {
-            self.check_running()?;
-            match self.decide_read(segment, offset, max_len, deadline.is_some()) {
-                ReadDecision::Return(r) => return Ok(r),
-                ReadDecision::Fail(e) => return Err(e),
-                ReadDecision::Wait(pr) => {
-                    let remaining = deadline
-                        .expect("wait decision only with deadline")
-                        .saturating_duration_since(clock::monotonic_now());
-                    if remaining.is_zero() {
-                        return Ok(ReadResult {
-                            offset,
-                            data: Bytes::new(),
-                            end_of_segment: false,
-                            at_tail: true,
-                        });
-                    }
-                    match pr.wait_for(remaining) {
-                        Ok(()) => continue,
-                        Err(WaitError::Timeout) => {
-                            return Ok(ReadResult {
-                                offset,
-                                data: Bytes::new(),
-                                end_of_segment: false,
-                                at_tail: true,
-                            });
-                        }
-                        Err(WaitError::Broken) => return Err(SegmentError::ContainerStopped),
-                    }
-                }
-                ReadDecision::FetchLts {
-                    read_offset,
-                    read_len,
-                } => {
-                    let data = match self.lts.read(segment, read_offset, read_len) {
-                        Ok(data) => data,
-                        Err(LtsError::ChecksumMismatch { chunk, .. }) => {
-                            // A cold read hit a corrupt chunk (now
-                            // quarantined). Rebuild it from the retained WAL
-                            // and retry once; if the bytes are gone, the
-                            // damage is permanent and must surface as typed
-                            // data loss — never as garbage.
-                            if self.repair_chunk_from_wal(segment, &chunk) {
-                                self.lts
-                                    .read(segment, read_offset, read_len)
-                                    .map_err(SegmentError::Lts)?
-                            } else {
-                                return Err(SegmentError::Lts(LtsError::DataLoss { chunk }));
-                            }
-                        }
-                        Err(e) => return Err(SegmentError::Lts(e)),
-                    };
-                    if data.is_empty() {
-                        return Err(SegmentError::Internal(
-                            "LTS returned no data for a flushed range".into(),
-                        ));
-                    }
-                    let mut guard = self.core.lock();
-                    let core = &mut *guard;
-                    if let Some(st) = core.segments.get_mut(segment) {
-                        st.index
-                            .insert_from_storage(&mut core.cache, read_offset, &data);
-                    }
-                    return Ok(ReadResult {
-                        offset: read_offset,
-                        data,
-                        end_of_segment: false,
-                        at_tail: false,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Reads exactly `len` committed bytes at `offset` (used by the storage
-    /// writer; loops over short reads).
-    pub(crate) fn read_committed_range(
-        &self,
-        segment: &str,
-        offset: u64,
-        len: usize,
-    ) -> Result<Bytes, SegmentError> {
-        let mut out = bytes::BytesMut::with_capacity(len);
-        let mut cursor = offset;
-        while out.len() < len {
-            let r = self.read(segment, cursor, len - out.len(), None)?;
-            if r.data.is_empty() {
-                return Err(SegmentError::Internal(format!(
-                    "short committed read at {cursor} (wanted {len} from {offset})"
-                )));
-            }
-            cursor += r.data.len() as u64;
-            out.extend_from_slice(&r.data);
-        }
-        Ok(out.freeze())
-    }
-
-    /// Reconstructs the logical bytes `[start, start + len)` of `segment`
-    /// from the container's retained WAL frames. Returns `None` unless every
-    /// byte of the range is covered by retained `Append` operations — a
-    /// partial reconstruction cannot repair a chunk. A torn final frame (the
-    /// signature of a crash mid WAL append) is skipped like recovery does.
-    pub(crate) fn rebuild_from_wal(&self, segment: &str, start: u64, len: u64) -> Option<Vec<u8>> {
-        if len == 0 {
-            return Some(Vec::new());
-        }
-        let records = self.log().wal_handle().read_after(None).ok()?;
-        let end = start + len;
-        let mut buf = vec![0u8; len as usize];
-        let mut covered: Vec<(u64, u64)> = Vec::new();
-        for (_, frame) in records {
-            let Ok(items) = decode_frame(&frame) else {
-                continue;
-            };
-            for (_, op) in items {
-                let Operation::Append {
-                    segment: s,
-                    offset,
-                    data,
-                    ..
-                } = op
-                else {
-                    continue;
-                };
-                if s != segment {
-                    continue;
-                }
-                let a = offset.max(start);
-                let b = (offset + data.len() as u64).min(end);
-                if a >= b {
-                    continue;
-                }
-                if let (Some(dst), Some(src)) = (
-                    buf.get_mut((a - start) as usize..(b - start) as usize),
-                    data.get((a - offset) as usize..(b - offset) as usize),
-                ) {
-                    dst.copy_from_slice(src);
-                    covered.push((a, b));
-                }
-            }
-        }
-        covered.sort_unstable();
-        let mut reach = start;
-        for (a, b) in covered {
-            if a > reach {
-                return None;
-            }
-            reach = reach.max(b);
-        }
-        (reach >= end).then_some(buf)
-    }
-
-    /// Attempts to repair a corrupt LTS chunk in place from retained WAL
-    /// data. [`ChunkedSegmentStorage::repair_chunk`] re-verifies the rebuilt
-    /// bytes against the checksums recorded at ack time, so a stale or
-    /// mismatched reconstruction can never be laundered into the chunk.
-    fn repair_chunk_from_wal(&self, segment: &str, chunk: &str) -> bool {
-        let Ok(chunks) = self.lts.chunk_names(segment) else {
-            return false;
-        };
-        let Some((start, len)) = chunks
-            .iter()
-            .find(|(name, _, _)| name == chunk)
-            .map(|&(_, start, len)| (start, len))
-        else {
-            return false;
-        };
-        let Some(bytes) = self.rebuild_from_wal(segment, start, len) else {
-            return false;
-        };
-        self.lts.repair_chunk(segment, chunk, &bytes).is_ok()
-    }
-
-    fn build_snapshot(&self) -> ContainerSnapshot {
-        let core = self.core.lock();
-        ContainerSnapshot {
-            applied_seq: core.applied_seq,
-            segments: core
-                .segments
-                .values()
-                .map(|st| SegmentSnapshotRecord {
-                    metadata: st.meta.clone(),
-                    table_entries: st
-                        .table
-                        .as_ref()
-                        .map(|t| t.snapshot_entries())
-                        .unwrap_or_default(),
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn write_checkpoint(&self) -> Result<(), SegmentError> {
-        let snapshot = self.build_snapshot();
-        let pr = {
-            let mut processor = self.processor.lock();
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let (completer, pr) = promise();
-            self.log().enqueue(EnqueuedOp {
-                seq,
-                op: Operation::MetadataCheckpoint {
-                    snapshot: snapshot.encode(),
-                },
-                completer: Some(completer),
-                ack: OpAck::Done,
-            })?;
-            pr
-        };
-        match pr.wait() {
-            Ok(Ok(_)) => {
-                self.ops_since_checkpoint.store(0, Ordering::Relaxed);
-                Ok(())
-            }
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(SegmentError::ContainerStopped),
-        }
-    }
-
-    fn record_load(&self, segment: &str, events: u64, bytes: u64) {
+    pub(crate) fn record_load(&self, segment: &str, events: u64, bytes: u64) {
         let now = self.clock.now_nanos();
         let mut loads = self.loads.lock();
         let (ev, by) = loads.entry(segment.to_string()).or_insert_with(|| {
@@ -931,26 +286,11 @@ impl CommitSink for ContainerInner {
     }
 }
 
-impl SegmentState {
-    fn attributes_entry(&mut self, writer: WriterId) -> &mut i64 {
-        self.meta.attributes.entry(writer).or_insert(-1)
-    }
-}
-
-/// The container's background threads: the storage-writer flusher and the
-/// checkpoint/WAL-truncator. One struct under one lock so stop/crash take
-/// both handles in a single acquisition.
-#[derive(Default)]
-struct BackgroundThreads {
-    flusher: Option<JoinHandle<()>>,
-    truncator: Option<JoinHandle<()>>,
-}
-
 /// A running segment container.
 pub struct SegmentContainer {
-    inner: Arc<ContainerInner>,
-    log: Arc<DurableLog>,
-    threads: Mutex<BackgroundThreads>,
+    pub(crate) inner: Arc<ContainerInner>,
+    /// The storage-writer flusher and the checkpoint/WAL-truncator.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for SegmentContainer {
@@ -1000,181 +340,20 @@ impl SegmentContainer {
         config: ContainerConfig,
         metrics: &MetricsRegistry,
     ) -> Result<Self, SegmentError> {
-        // ---- Recovery: read the retained log -----------------------------
-        let recovery_start = clock::monotonic_now();
-        let records = wal.read_after(None)?;
-        let mut ops: Vec<(u64, Operation)> = Vec::new();
-        let last = records.len().saturating_sub(1);
-        for (i, (_, frame)) in records.iter().enumerate() {
-            match decode_frame(frame) {
-                Ok(items) => ops.extend(items),
-                // A torn *final* frame is the expected signature of a crash
-                // mid WAL append: its operations were never acknowledged,
-                // so dropping them loses nothing. Corruption anywhere else
-                // in the log stays fatal.
-                Err(_) if i == last => break,
-                Err(e) => {
-                    return Err(SegmentError::Internal(format!("corrupt WAL frame: {e}")));
-                }
-            }
-        }
-        // Seed from the last checkpoint, if any.
-        let mut snapshot = ContainerSnapshot::default();
-        for (_, op) in ops.iter().rev() {
-            if let Operation::MetadataCheckpoint { snapshot: bytes } = op {
-                snapshot = ContainerSnapshot::decode(bytes)
-                    .map_err(|e| SegmentError::Internal(format!("corrupt checkpoint: {e}")))?;
-                break;
-            }
-        }
-
-        let mut segments: HashMap<String, SegmentState> = HashMap::new();
-        let mut flushed: HashMap<String, u64> = HashMap::new();
-        for record in snapshot.segments {
-            let name = record.metadata.name.clone();
-            let table = record
-                .metadata
-                .is_table
-                .then(|| TableState::from_entries(record.table_entries));
-            let lts_len = lts.info(&name).map(|i| i.length).unwrap_or(0);
-            flushed.insert(name.clone(), lts_len);
-            segments.insert(
-                name,
-                SegmentState {
-                    meta: record.metadata,
-                    index: ReadIndex::new(),
-                    table,
-                },
-            );
-        }
-
-        let inner = Arc::new(ContainerInner {
-            id,
-            clock,
-            core: Mutex::new(
-                rank::CONTAINER_CORE,
-                Core {
-                    cache: BlockCache::new(config.cache),
-                    segments,
-                    applied_seq: snapshot.applied_seq,
-                    flushed,
-                    tail_waiters: HashMap::new(),
-                    pending_lts_deletes: Vec::new(),
-                },
-            ),
-            processor: Mutex::new(rank::CONTAINER_PROCESSOR, Processor::default()),
-            lts,
-            stopped: AtomicBool::new(false),
-            unflushed_bytes: AtomicU64::new(0),
-            ops_since_checkpoint: AtomicU64::new(0),
-            truncate_pending: AtomicBool::new(false),
-            loads: Mutex::new(rank::CONTAINER_LOADS, HashMap::new()),
-            log: OnceLock::new(),
-            metrics: ContainerMetrics::new(metrics),
-            config,
-        });
-
-        // Replay every retained operation idempotently.
-        let max_seq = ops.iter().map(|(s, _)| *s).max().unwrap_or(0);
-        let mut replayed = 0u64;
-        for (seq, op) in &ops {
-            if matches!(op, Operation::MetadataCheckpoint { .. }) {
-                continue;
-            }
-            // New segments discovered during replay need flushed offsets.
-            if let Operation::CreateSegment { segment, .. } = op {
-                let lts_len = inner.lts.info(segment).map(|i| i.length).unwrap_or(0);
-                inner.core.lock().flushed.insert(segment.clone(), lts_len);
-            }
-            inner.apply_committed(*seq, op);
-            replayed += 1;
-        }
-        if !records.is_empty() {
-            inner.metrics.recoveries.inc();
-            inner.metrics.replayed_ops.add(replayed);
-        }
-        inner
-            .metrics
-            .recovery_nanos
-            .record(recovery_start.elapsed().as_nanos() as u64);
-        // Recompute the unflushed backlog from scratch (replay double-counts
-        // are possible through the idempotent path).
-        {
-            let core = inner.core.lock();
-            let backlog: u64 = core
-                .segments
-                .iter()
-                .map(|(name, st)| {
-                    st.meta
-                        .length
-                        .saturating_sub(core.flushed.get(name).copied().unwrap_or(0))
-                })
-                .sum();
-            inner.unflushed_bytes.store(backlog, Ordering::Relaxed);
-        }
-
-        // Seed the operation processor from committed state. Copy the seed
-        // out before taking the processor lock: the canonical lock order is
-        // processor before core (see `table_update`), never the reverse.
-        {
-            let (applied_seq, seed) = {
-                let core = inner.core.lock();
-                let seed: Vec<(String, PendingSegment)> = core
-                    .segments
-                    .iter()
-                    .map(|(name, st)| {
-                        (
-                            name.clone(),
-                            PendingSegment {
-                                tail: st.meta.length,
-                                sealed: st.meta.sealed,
-                                deleted: false,
-                                is_table: st.meta.is_table,
-                                attributes: st.meta.attributes.clone(),
-                                // Sessions do not survive recovery: every
-                                // connection died with the old process, so
-                                // writers re-handshake from session 1.
-                                sessions: HashMap::new(),
-                            },
-                        )
-                    })
-                    .collect();
-                (core.applied_seq, seed)
-            };
-            let mut processor = inner.processor.lock();
-            processor.next_seq = applied_seq.max(max_seq) + 1;
-            for (name, pending) in seed {
-                processor.segments.insert(name, pending);
-            }
-        }
-
+        let inner = recovery::recover(id, &wal, lts, clock, config, metrics)?;
         let log = DurableLog::start(
             wal,
             inner.clone() as Arc<dyn CommitSink>,
-            DurableLogConfig {
-                max_frame_bytes: inner.config.max_frame_bytes,
-                max_batch_delay: inner.config.max_batch_delay,
-                crash_hook: inner.config.crash_hook.clone(),
-            },
+            inner.config.clone(),
             metrics,
         )?;
-        inner
-            .log
-            .set(log.clone())
-            .expect("log set exactly once at startup");
+        inner.log.set(log).expect("log set exactly once at startup");
 
         let flusher = storagewriter::start_flusher(inner.clone())?;
         let truncator = storagewriter::start_truncator(inner.clone())?;
         Ok(Self {
             inner,
-            log,
-            threads: Mutex::new(
-                rank::CONTAINER_FLUSHER,
-                BackgroundThreads {
-                    flusher: Some(flusher),
-                    truncator: Some(truncator),
-                },
-            ),
+            threads: Mutex::new(rank::CONTAINER_FLUSHER, vec![flusher, truncator]),
         })
     }
 
@@ -1188,177 +367,6 @@ impl SegmentContainer {
         self.inner.stopped.load(Ordering::SeqCst)
     }
 
-    /// Creates a segment.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::SegmentExists`] and pipeline failures.
-    pub fn create_segment(&self, name: &str, is_table: bool) -> Result<(), SegmentError> {
-        self.inner.check_running()?;
-        let pr = {
-            let mut processor = self.inner.processor.lock();
-            if processor.segments.contains_key(name) {
-                return Err(SegmentError::SegmentExists);
-            }
-            processor.segments.insert(
-                name.to_string(),
-                PendingSegment {
-                    is_table,
-                    ..PendingSegment::default()
-                },
-            );
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let (completer, pr) = promise();
-            // Enqueue while holding the lock: sequence order must equal
-            // queue order or recovery/apply would see reordered operations.
-            self.log.enqueue(EnqueuedOp {
-                seq,
-                op: Operation::CreateSegment {
-                    segment: name.to_string(),
-                    is_table,
-                },
-                completer: Some(completer),
-                ack: OpAck::Done,
-            })?;
-            pr
-        };
-        wait_done(pr)
-    }
-
-    /// Appends a block of events (pipelined): returns immediately with a
-    /// handle that resolves once the data is durable.
-    ///
-    /// Deduplication: if `last_event_number` is not beyond the writer's
-    /// recorded watermark the append is acknowledged without re-writing
-    /// (exactly-once, §3.2). Blocks while LTS backpressure is active.
-    ///
-    /// Unfenced: callers that hold no append session (direct embedders,
-    /// tests). Connections serving writers must use [`Self::append_sessioned`]
-    /// with the session from [`Self::handshake`].
-    pub fn append(
-        &self,
-        name: &str,
-        data: Bytes,
-        writer_id: WriterId,
-        last_event_number: i64,
-        event_count: u32,
-        expected_offset: Option<u64>,
-    ) -> AppendHandle {
-        self.append_sessioned(
-            name,
-            data,
-            writer_id,
-            last_event_number,
-            event_count,
-            expected_offset,
-            None,
-        )
-    }
-
-    /// [`Self::append`] carrying the connection's append session for
-    /// `writer_id` (from [`Self::handshake`]): if a newer handshake has
-    /// bumped the writer's session since, the append is refused with
-    /// [`SegmentError::WriterFenced`] instead of enqueued. `None` skips the
-    /// fence (a caller that never handshook).
-    #[allow(clippy::too_many_arguments)] // the wire append verb, plus its fence
-    pub fn append_sessioned(
-        &self,
-        name: &str,
-        data: Bytes,
-        writer_id: WriterId,
-        last_event_number: i64,
-        event_count: u32,
-        expected_offset: Option<u64>,
-        session: Option<u64>,
-    ) -> AppendHandle {
-        if let Err(e) = self
-            .inner
-            .check_running()
-            .and_then(|()| self.inner.throttle_wait())
-        {
-            return AppendHandle {
-                inner: Promise::ready(Err(e)),
-            };
-        }
-        let enqueue = {
-            let mut processor = self.inner.processor.lock();
-            let Some(pending) = processor.segments.get_mut(name) else {
-                return AppendHandle {
-                    inner: Promise::ready(Err(SegmentError::NoSuchSegment)),
-                };
-            };
-            if pending.deleted {
-                return AppendHandle {
-                    inner: Promise::ready(Err(SegmentError::NoSuchSegment)),
-                };
-            }
-            if pending.sealed {
-                return AppendHandle {
-                    inner: Promise::ready(Err(SegmentError::SegmentSealed)),
-                };
-            }
-            if let Some(session) = session {
-                // Fenced before dedup: a stale connection must not be able
-                // to advance the watermark (or ack anything) after a newer
-                // handshake has taken over the writer.
-                if pending.sessions.get(&writer_id).copied().unwrap_or(0) != session {
-                    return AppendHandle {
-                        inner: Promise::ready(Err(SegmentError::WriterFenced)),
-                    };
-                }
-            }
-            if let Some(expected) = expected_offset {
-                if pending.tail != expected {
-                    return AppendHandle {
-                        inner: Promise::ready(Err(SegmentError::ConditionalCheckFailed {
-                            expected: pending.tail,
-                            actual: expected,
-                        })),
-                    };
-                }
-            }
-            let watermark = pending.attributes.get(&writer_id).copied().unwrap_or(-1);
-            if last_event_number <= watermark {
-                // Duplicate (reconnection resend): ack without re-writing.
-                return AppendHandle {
-                    inner: Promise::ready(Ok(OpAck::Appended { tail: pending.tail })),
-                };
-            }
-            let offset = pending.tail;
-            pending.tail += data.len() as u64;
-            pending.attributes.insert(writer_id, last_event_number);
-            let tail = pending.tail;
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let (completer, pr) = promise();
-            let bytes = data.len() as u64;
-            let op = Operation::Append {
-                segment: name.to_string(),
-                offset,
-                data,
-                writer_id,
-                last_event_number,
-                event_count,
-            };
-            // Enqueue while holding the lock (sequence order == queue order).
-            if let Err(e) = self.log.enqueue(EnqueuedOp {
-                seq,
-                op,
-                completer: Some(completer),
-                ack: OpAck::Appended { tail },
-            }) {
-                return AppendHandle {
-                    inner: Promise::ready(Err(e)),
-                };
-            }
-            (pr, bytes, event_count)
-        };
-        let (pr, bytes, events) = enqueue;
-        self.inner.record_load(name, events as u64, bytes);
-        AppendHandle { inner: pr }
-    }
-
     /// Writer handshake: the last *durable* event number for `writer_id`
     /// (`-1` if it never wrote here). Used to resume exactly-once (§3.2).
     ///
@@ -1369,77 +377,7 @@ impl SegmentContainer {
         self.inner.check_running()?;
         let core = self.inner.core.lock();
         let st = core.segments.get(name).ok_or(SegmentError::NoSuchSegment)?;
-        Ok(st.meta.attributes.get(&writer_id).copied().unwrap_or(-1))
-    }
-
-    /// Fencing writer handshake for connection-serving callers: bumps the
-    /// writer's append session (so blocks still queued by an older
-    /// connection are refused with [`SegmentError::WriterFenced`]), waits
-    /// until everything the writer had in flight is durable, and returns
-    /// `(last durable event number, new session)`.
-    ///
-    /// The barrier is what makes the returned watermark *complete*: without
-    /// it, a block enqueued by the dead connection but not yet committed
-    /// could straddle the watermark, and the reconnected writer's resend
-    /// would partially re-apply it (duplicates). With fence + barrier a
-    /// resend can only be a full duplicate (acked, not re-written) or
-    /// entirely new events.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::NoSuchSegment`]; [`SegmentError::ContainerStopped`]
-    /// if the container dies while the barrier waits.
-    pub fn handshake(&self, name: &str, writer_id: WriterId) -> Result<(i64, u64), SegmentError> {
-        self.inner.check_running()?;
-        // Fence first (processor lock), then barrier (core lock) — taken
-        // sequentially in the canonical processor-before-core order. After
-        // the bump no older-session append can be enqueued, so the pending
-        // watermark read here is the writer's final in-flight high mark.
-        let (session, pending_mark) = {
-            let mut processor = self.inner.processor.lock();
-            let pending = processor
-                .segments
-                .get_mut(name)
-                .ok_or(SegmentError::NoSuchSegment)?;
-            if pending.deleted {
-                return Err(SegmentError::NoSuchSegment);
-            }
-            let slot = pending.sessions.entry(writer_id).or_insert(0);
-            *slot += 1;
-            (
-                *slot,
-                pending.attributes.get(&writer_id).copied().unwrap_or(-1),
-            )
-        };
-        loop {
-            let waiter = {
-                let mut core = self.inner.core.lock();
-                let committed = core
-                    .segments
-                    .get(name)
-                    .ok_or(SegmentError::NoSuchSegment)?
-                    .meta
-                    .attributes
-                    .get(&writer_id)
-                    .copied()
-                    .unwrap_or(-1);
-                if committed >= pending_mark {
-                    return Ok((committed, session));
-                }
-                // Register for the next apply on this segment (the writer's
-                // pending op will trigger it), then wait outside the lock.
-                let (completer, pr) = promise();
-                core.tail_waiters
-                    .entry(name.to_string())
-                    .or_default()
-                    .push(completer);
-                pr
-            };
-            // Bounded slice so a condemned pipeline (op never applies) is
-            // noticed via check_running instead of hanging the handshake.
-            let _ = waiter.wait_for(Duration::from_millis(50));
-            self.inner.check_running()?;
-        }
+        Ok(st.watermark(writer_id))
     }
 
     /// Reads committed data. With `wait`, a read at the tail blocks up to
@@ -1477,260 +415,6 @@ impl SegmentContainer {
             is_table: st.meta.is_table,
             last_modified_nanos: st.meta.last_modified_nanos,
         })
-    }
-
-    /// Seals the segment; returns its final length. Idempotent.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::NoSuchSegment`] and pipeline failures.
-    pub fn seal(&self, name: &str) -> Result<u64, SegmentError> {
-        self.inner.check_running()?;
-        let (pr, final_len) = {
-            let mut processor = self.inner.processor.lock();
-            let pending = processor
-                .segments
-                .get_mut(name)
-                .filter(|p| !p.deleted)
-                .ok_or(SegmentError::NoSuchSegment)?;
-            pending.sealed = true;
-            let final_len = pending.tail;
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let (completer, pr) = promise();
-            self.log.enqueue(EnqueuedOp {
-                seq,
-                op: Operation::Seal {
-                    segment: name.to_string(),
-                },
-                completer: Some(completer),
-                ack: OpAck::Done,
-            })?;
-            (pr, final_len)
-        };
-        if self
-            .inner
-            .config
-            .crash_hook
-            .fire(crashpoints::SEGMENTSTORE_CONTAINER_MID_SEAL)
-        {
-            // Simulated crash mid-seal: the Seal op is already in the WAL
-            // pipeline (it may or may not commit) but the acknowledgement
-            // never reaches the caller. Recovery must tolerate either
-            // outcome, and sealing again after restart is idempotent.
-            drop(pr);
-            return Err(SegmentError::ContainerStopped);
-        }
-        wait_done(pr)?;
-        Ok(final_len)
-    }
-
-    /// Truncates the segment at `offset`.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::BeyondTail`] if `offset` exceeds the tail.
-    pub fn truncate(&self, name: &str, offset: u64) -> Result<(), SegmentError> {
-        self.inner.check_running()?;
-        let pr = {
-            let mut processor = self.inner.processor.lock();
-            let pending = processor
-                .segments
-                .get_mut(name)
-                .filter(|p| !p.deleted)
-                .ok_or(SegmentError::NoSuchSegment)?;
-            if offset > pending.tail {
-                return Err(SegmentError::BeyondTail {
-                    length: pending.tail,
-                });
-            }
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let (completer, pr) = promise();
-            self.log.enqueue(EnqueuedOp {
-                seq,
-                op: Operation::Truncate {
-                    segment: name.to_string(),
-                    offset,
-                },
-                completer: Some(completer),
-                ack: OpAck::Done,
-            })?;
-            pr
-        };
-        wait_done(pr)
-    }
-
-    /// Deletes the segment (data in WAL, cache and LTS is reclaimed).
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::NoSuchSegment`] and pipeline failures.
-    pub fn delete(&self, name: &str) -> Result<(), SegmentError> {
-        self.inner.check_running()?;
-        let pr = {
-            let mut processor = self.inner.processor.lock();
-            let pending = processor
-                .segments
-                .get_mut(name)
-                .filter(|p| !p.deleted)
-                .ok_or(SegmentError::NoSuchSegment)?;
-            pending.deleted = true;
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let (completer, pr) = promise();
-            self.log.enqueue(EnqueuedOp {
-                seq,
-                op: Operation::Delete {
-                    segment: name.to_string(),
-                },
-                completer: Some(completer),
-                ack: OpAck::Done,
-            })?;
-            pr
-        };
-        wait_done(pr)?;
-        self.inner.processor.lock().segments.remove(name);
-        Ok(())
-    }
-
-    /// The writer watermark attribute (committed).
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::NoSuchSegment`].
-    pub fn get_attribute(&self, name: &str, writer_id: WriterId) -> Result<i64, SegmentError> {
-        self.setup_append(name, writer_id)
-    }
-
-    /// Conditionally updates table entries (atomic across keys): each entry
-    /// is `(key, value, expected_version)` with `None` = unconditional and
-    /// `Some(-1)` = must-not-exist. Returns the new version per entry.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::TableKeyBadVersion`] (nothing applied),
-    /// [`SegmentError::NotATable`], pipeline failures.
-    pub fn table_update(
-        &self,
-        name: &str,
-        entries: Vec<(Bytes, Bytes, Option<i64>)>,
-    ) -> Result<Vec<i64>, SegmentError> {
-        self.inner.check_running()?;
-        let enqueue = {
-            let mut processor = self.inner.processor.lock();
-            let pending = processor
-                .segments
-                .get(name)
-                .filter(|p| !p.deleted)
-                .ok_or(SegmentError::NoSuchSegment)?;
-            if !pending.is_table {
-                return Err(SegmentError::NotATable);
-            }
-            // Validate against committed state + pending overlay.
-            {
-                let core = self.inner.core.lock();
-                let table = core
-                    .segments
-                    .get(name)
-                    .and_then(|st| st.table.as_ref())
-                    .cloned()
-                    .unwrap_or_default();
-                let overlay = processor.table_overlay.get(name);
-                table.check_versions(entries.iter().map(|(k, _, v)| (k.as_ref(), *v)), |key| {
-                    overlay.and_then(|o| o.get(key).copied())
-                })?;
-            }
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let overlay = processor.table_overlay.entry(name.to_string()).or_default();
-            for (k, _, _) in &entries {
-                overlay.insert(k.clone(), seq as i64);
-            }
-            let (completer, pr) = promise();
-            let versions = vec![seq as i64; entries.len()];
-            self.log.enqueue(EnqueuedOp {
-                seq,
-                op: Operation::TableUpdate {
-                    segment: name.to_string(),
-                    entries: entries
-                        .into_iter()
-                        .map(|(key, value, _)| TableEntryUpdate { key, value })
-                        .collect(),
-                },
-                completer: Some(completer),
-                ack: OpAck::TableVersions(versions),
-            })?;
-            pr
-        };
-        let pr = enqueue;
-        match pr.wait() {
-            Ok(Ok(OpAck::TableVersions(v))) => Ok(v),
-            Ok(Ok(_)) => Err(SegmentError::Internal("unexpected ack kind".into())),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(SegmentError::ContainerStopped),
-        }
-    }
-
-    /// Conditionally removes table keys: `(key, expected_version)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SegmentContainer::table_update`].
-    pub fn table_remove(
-        &self,
-        name: &str,
-        keys: Vec<(Bytes, Option<i64>)>,
-    ) -> Result<(), SegmentError> {
-        self.inner.check_running()?;
-        let pr = {
-            let mut processor = self.inner.processor.lock();
-            let pending = processor
-                .segments
-                .get(name)
-                .filter(|p| !p.deleted)
-                .ok_or(SegmentError::NoSuchSegment)?;
-            if !pending.is_table {
-                return Err(SegmentError::NotATable);
-            }
-            {
-                let core = self.inner.core.lock();
-                let table = core
-                    .segments
-                    .get(name)
-                    .and_then(|st| st.table.as_ref())
-                    .cloned()
-                    .unwrap_or_default();
-                let overlay = processor.table_overlay.get(name);
-                table.check_versions(keys.iter().map(|(k, v)| (k.as_ref(), *v)), |key| {
-                    overlay.and_then(|o| o.get(key).copied()).map(|v| {
-                        if v < 0 {
-                            crate::tablesegment::VERSION_NOT_EXISTS
-                        } else {
-                            v
-                        }
-                    })
-                })?;
-            }
-            let seq = processor.next_seq;
-            processor.next_seq += 1;
-            let overlay = processor.table_overlay.entry(name.to_string()).or_default();
-            for (k, _) in &keys {
-                overlay.insert(k.clone(), -(seq as i64));
-            }
-            let (completer, pr) = promise();
-            self.log.enqueue(EnqueuedOp {
-                seq,
-                op: Operation::TableRemove {
-                    segment: name.to_string(),
-                    keys: keys.into_iter().map(|(k, _)| k).collect(),
-                },
-                completer: Some(completer),
-                ack: OpAck::Done,
-            })?;
-            pr
-        };
-        wait_done(pr)
     }
 
     /// Point reads from a table segment (committed state).
@@ -1808,29 +492,14 @@ impl SegmentContainer {
         self.inner.unflushed_bytes.load(Ordering::Relaxed)
     }
 
-    /// Current cache utilization in `[0, 1]`.
-    pub fn cache_utilization(&self) -> f64 {
-        self.inner.core.lock().cache.utilization()
-    }
-
     /// Number of committed-but-untruncated WAL frames.
     pub fn retained_wal_frames(&self) -> usize {
-        self.log.retained_frames()
-    }
-
-    /// Operations queued in the pipeline, not yet durable.
-    pub fn pending_operations(&self) -> usize {
-        self.log.pending_ops()
-    }
-
-    /// Histogram of WAL append latencies (nanoseconds).
-    pub fn wal_latency(&self) -> Arc<Histogram> {
-        self.log.wal_latency()
+        self.inner.log().retained_frames()
     }
 
     /// Histogram of committed data-frame sizes (bytes).
     pub fn frame_sizes(&self) -> Arc<Histogram> {
-        self.log.frame_sizes()
+        self.inner.log().frame_sizes()
     }
 
     /// Names of live segments (diagnostics).
@@ -1857,25 +526,16 @@ impl SegmentContainer {
     /// Stops the container: drains the pipeline and joins threads.
     pub fn stop(&self) {
         self.inner.stopped.store(true, Ordering::SeqCst);
-        self.log.stop();
+        self.inner.log().stop();
         self.join_background_threads();
     }
 
-    /// Takes both background-thread handles out under the lock, then joins
+    /// Takes the background-thread handles out under the lock, then joins
     /// them unlocked (both loops watch `stopped` and exit promptly).
     fn join_background_threads(&self) {
-        let taken = {
-            let mut guard = self.threads.lock();
-            BackgroundThreads {
-                flusher: guard.flusher.take(),
-                truncator: guard.truncator.take(),
-            }
-        };
-        if let Some(h) = taken.flusher {
-            let _ = h.join();
-        }
-        if let Some(h) = taken.truncator {
-            let _ = h.join();
+        let taken = std::mem::take(&mut *self.threads.lock());
+        for handle in taken {
+            let _ = handle.join();
         }
     }
 
@@ -1887,87 +547,14 @@ impl SegmentContainer {
     /// [`pravega_wal::error::WalError::Fenced`].
     pub fn crash(&self) -> Arc<dyn DurableDataLog> {
         self.inner.stopped.store(true, Ordering::SeqCst);
-        self.log.crash();
+        self.inner.log().crash();
         self.join_background_threads();
-        self.log.wal_handle()
+        self.inner.log().wal_handle()
     }
 }
 
 impl Drop for SegmentContainer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn wait_done(pr: Promise<Result<OpAck, SegmentError>>) -> Result<(), SegmentError> {
-    match pr.wait() {
-        Ok(Ok(_)) => Ok(()),
-        Ok(Err(e)) => Err(e),
-        Err(_) => Err(SegmentError::ContainerStopped),
-    }
-}
-
-#[cfg(test)]
-mod throttle_curve_tests {
-    use super::*;
-
-    const KIB: u64 = 1024;
-
-    #[test]
-    fn delay_is_zero_at_or_below_the_threshold() {
-        let max = Duration::from_millis(20);
-        assert_eq!(throttle_delay(0, 64 * KIB, 128 * KIB, max), Duration::ZERO);
-        assert_eq!(
-            throttle_delay(64 * KIB, 64 * KIB, 128 * KIB, max),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
-    fn delay_grows_monotonically_with_backlog() {
-        let max = Duration::from_millis(20);
-        let mut last = Duration::ZERO;
-        for backlog in (64 * KIB..=160 * KIB).step_by(KIB as usize) {
-            let d = throttle_delay(backlog, 64 * KIB, 128 * KIB, max);
-            assert!(
-                d >= last,
-                "delay must be monotone: backlog {backlog} gave {d:?} after {last:?}"
-            );
-            last = d;
-        }
-    }
-
-    #[test]
-    fn delay_saturates_at_max_past_the_hard_limit() {
-        let max = Duration::from_millis(20);
-        assert_eq!(throttle_delay(128 * KIB, 64 * KIB, 128 * KIB, max), max);
-        assert_eq!(throttle_delay(1 << 40, 64 * KIB, 128 * KIB, max), max);
-    }
-
-    #[test]
-    fn delay_releases_the_moment_the_backlog_drains() {
-        let max = Duration::from_millis(20);
-        // One byte over the threshold: a barely-positive delay...
-        let just_over = throttle_delay(64 * KIB + 1, 64 * KIB, 128 * KIB, max);
-        assert!(just_over > Duration::ZERO && just_over < Duration::from_millis(1));
-        // ...and none at all once the backlog is back at the threshold.
-        assert_eq!(
-            throttle_delay(64 * KIB, 64 * KIB, 128 * KIB, max),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
-    fn degenerate_span_does_not_divide_by_zero() {
-        let max = Duration::from_millis(20);
-        // hard limit == threshold (ratio 1.0): any overage gets the max.
-        assert_eq!(throttle_delay(65 * KIB, 64 * KIB, 64 * KIB, max), max);
-    }
-
-    #[test]
-    fn hard_limit_respects_the_ratio_floor() {
-        assert_eq!(hard_limit_bytes(64 * KIB, 2.0), 128 * KIB);
-        // Ratios below 1.0 clamp: the hard limit is never below the threshold.
-        assert_eq!(hard_limit_bytes(64 * KIB, 0.5), 64 * KIB);
     }
 }

@@ -11,47 +11,33 @@
 //! once data reaches LTS without ever dropping an unflushed byte (§4.3).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use pravega_common::clock;
-use pravega_common::crashpoints::{self, CrashHook};
+use pravega_common::crashpoints;
 use pravega_common::future::Completer;
 use pravega_common::metrics::{Gauge, Histogram, MetricsRegistry};
 use pravega_common::rate::EwmaValue;
 use pravega_sync::{rank, Mutex};
 use pravega_wal::log::{DurableDataLog, LogAddress};
 
+use crate::container::ContainerConfig;
 use crate::dataframe::{batch_delay, DataFrameBuilder};
 use crate::error::SegmentError;
 use crate::metadata::ContainerSnapshot;
 use crate::operations::Operation;
 
-/// What an acknowledged operation reports back to the caller.
-#[derive(Debug, Clone)]
-pub(crate) enum OpAck {
-    /// Generic success.
-    Done,
-    /// Append success; `tail` is the segment length after the append.
-    Appended {
-        /// Segment length after the append.
-        tail: u64,
-    },
-    /// Table update success with assigned versions.
-    TableVersions(Vec<i64>),
-}
-
-pub(crate) type OpCompleter = Completer<Result<OpAck, SegmentError>>;
+pub(crate) type OpCompleter = Completer<Result<(), SegmentError>>;
 
 /// An operation queued for durable processing.
 pub(crate) struct EnqueuedOp {
     pub seq: u64,
     pub op: Operation,
     pub completer: Option<OpCompleter>,
-    pub ack: OpAck,
 }
 
 /// The consumer of committed operations (the container).
@@ -85,28 +71,6 @@ struct CommitBatch {
     enqueued_at: Instant,
 }
 
-/// Tuning for the durable log.
-#[derive(Debug, Clone)]
-pub struct DurableLogConfig {
-    /// Frame capacity (the paper's MaxFrameSize, e.g. 1 MB).
-    pub max_frame_bytes: usize,
-    /// Upper bound on the adaptive batching delay.
-    pub max_batch_delay: Duration,
-    /// Crash-point hook ([`crashpoints::SEGMENTSTORE_DURABLELOG_MID_FRAME`]);
-    /// disarmed in production.
-    pub crash_hook: CrashHook,
-}
-
-impl Default for DurableLogConfig {
-    fn default() -> Self {
-        Self {
-            max_frame_bytes: 1024 * 1024,
-            max_batch_delay: Duration::from_millis(20),
-            crash_hook: CrashHook::disarmed(),
-        }
-    }
-}
-
 struct LogShared {
     wal: Arc<dyn DurableDataLog>,
     frames: Mutex<VecDeque<FrameRecord>>,
@@ -114,13 +78,24 @@ struct LogShared {
     avg_frame_size: Mutex<EwmaValue>,
     failed: AtomicBool,
     queued_ops: AtomicUsize,
-    queued_bytes: AtomicU64,
     frame_size_hist: Arc<Histogram>,
     wal_latency_nanos: Arc<Histogram>,
     fill_pct_hist: Arc<Histogram>,
     batch_delay_nanos: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
     truncate_nanos: Arc<Histogram>,
+}
+
+impl LogShared {
+    /// Takes `item` off the queue accounting and resolves its promise: `Ok`
+    /// once committed, `error` if the pipeline failed first.
+    fn resolve(&self, item: EnqueuedOp, error: Option<&SegmentError>) {
+        self.queued_ops.fetch_sub(1, Ordering::Relaxed);
+        self.queue_depth.sub(1);
+        if let Some(completer) = item.completer {
+            completer.complete(error.map_or(Ok(()), |e| Err(e.clone())));
+        }
+    }
 }
 
 /// The operation pipeline: enqueue → frame → WAL → apply → ack.
@@ -152,7 +127,7 @@ impl DurableLog {
     pub fn start(
         wal: Arc<dyn DurableDataLog>,
         sink: Arc<dyn CommitSink>,
-        config: DurableLogConfig,
+        config: ContainerConfig,
         metrics: &MetricsRegistry,
     ) -> Result<Arc<Self>, SegmentError> {
         let shared = Arc::new(LogShared {
@@ -162,7 +137,6 @@ impl DurableLog {
             avg_frame_size: Mutex::new(rank::DURABLE_LOG_FRAME_SIZE, EwmaValue::new(0.3)),
             failed: AtomicBool::new(false),
             queued_ops: AtomicUsize::new(0),
-            queued_bytes: AtomicU64::new(0),
             frame_size_hist: metrics.histogram("segmentstore.durablelog.frame_bytes"),
             wal_latency_nanos: metrics.histogram("segmentstore.durablelog.wal_append_nanos"),
             fill_pct_hist: metrics.histogram("segmentstore.durablelog.frame_fill_pct"),
@@ -212,12 +186,10 @@ impl DurableLog {
         if self.shared.failed.load(Ordering::SeqCst) {
             return Err(SegmentError::ContainerStopped);
         }
-        let size = op.op.encoded_len() as u64;
         let tx = self.tx.lock();
         match tx.as_ref() {
             Some(tx) => {
                 self.shared.queued_ops.fetch_add(1, Ordering::Relaxed);
-                self.shared.queued_bytes.fetch_add(size, Ordering::Relaxed);
                 self.shared.queue_depth.add(1);
                 tx.send(op).map_err(|_| SegmentError::ContainerStopped)?;
                 // Re-check *after* the send: if the pipeline died in the
@@ -240,6 +212,7 @@ impl DurableLog {
     }
 
     /// Operations queued but not yet committed.
+    #[cfg(test)]
     pub fn pending_ops(&self) -> usize {
         self.shared.queued_ops.load(Ordering::Relaxed)
     }
@@ -247,11 +220,6 @@ impl DurableLog {
     /// Histogram of committed frame sizes (bytes).
     pub fn frame_sizes(&self) -> Arc<Histogram> {
         self.shared.frame_size_hist.clone()
-    }
-
-    /// Histogram of WAL append latencies (nanoseconds, enqueue→durable).
-    pub fn wal_latency(&self) -> Arc<Histogram> {
-        self.shared.wal_latency_nanos.clone()
     }
 
     /// Truncates the WAL: drops the longest prefix of committed frames whose
@@ -328,15 +296,7 @@ impl DurableLog {
         // Mark failed *first* so the commit loop fails any batch it has not
         // yet applied instead of committing it during teardown.
         self.shared.failed.store(true, Ordering::SeqCst);
-        self.tx.lock().take();
-        let builder = self.builder_handle.lock().take();
-        if let Some(h) = builder {
-            let _ = h.join();
-        }
-        let commit = self.commit_handle.lock().take();
-        if let Some(h) = commit {
-            let _ = h.join();
-        }
+        self.stop();
     }
 
     /// The underlying WAL handle. A crashed store's handle is kept by tests
@@ -367,7 +327,7 @@ fn builder_loop(
     op_rx: Receiver<EnqueuedOp>,
     commit_tx: Sender<CommitBatch>,
     shared: Arc<LogShared>,
-    config: DurableLogConfig,
+    config: ContainerConfig,
 ) {
     let mut builder = DataFrameBuilder::new(config.max_frame_bytes);
     loop {
@@ -509,14 +469,7 @@ fn builder_loop(
     // dead pipeline can never resolve. On graceful exits the queue is empty
     // and this drain is a no-op.
     while let Ok(op) = op_rx.try_recv() {
-        shared.queued_ops.fetch_sub(1, Ordering::Relaxed);
-        shared.queue_depth.sub(1);
-        shared
-            .queued_bytes
-            .fetch_sub(op.op.encoded_len() as u64, Ordering::Relaxed);
-        if let Some(completer) = op.completer {
-            completer.complete(Err(SegmentError::ContainerStopped));
-        }
+        shared.resolve(op, Some(&SegmentError::ContainerStopped));
     }
 }
 
@@ -577,14 +530,7 @@ fn commit_loop(
                     checkpoint_covers,
                 });
                 for item in batch.items {
-                    shared.queued_ops.fetch_sub(1, Ordering::Relaxed);
-                    shared.queue_depth.sub(1);
-                    shared
-                        .queued_bytes
-                        .fetch_sub(item.op.encoded_len() as u64, Ordering::Relaxed);
-                    if let Some(completer) = item.completer {
-                        completer.complete(Ok(item.ack));
-                    }
+                    shared.resolve(item, None);
                 }
             }
             Err(error) => {
@@ -594,14 +540,7 @@ fn commit_loop(
                     sink.on_log_failure(&error);
                 }
                 for item in batch.items {
-                    shared.queued_ops.fetch_sub(1, Ordering::Relaxed);
-                    shared.queue_depth.sub(1);
-                    shared
-                        .queued_bytes
-                        .fetch_sub(item.op.encoded_len() as u64, Ordering::Relaxed);
-                    if let Some(completer) = item.completer {
-                        completer.complete(Err(error.clone()));
-                    }
+                    shared.resolve(item, Some(&error));
                 }
             }
         }
@@ -664,7 +603,7 @@ mod tests {
         let log = DurableLog::start(
             wal,
             sink,
-            DurableLogConfig::default(),
+            ContainerConfig::default(),
             &MetricsRegistry::new(),
         )
         .unwrap();
@@ -675,9 +614,6 @@ mod tests {
                 seq,
                 op: append_op(seq),
                 completer: Some(completer),
-                ack: OpAck::Appended {
-                    tail: (seq + 1) * 10,
-                },
             })
             .unwrap();
             promises.push(pr);
@@ -705,7 +641,7 @@ mod tests {
         let log = DurableLog::start(
             wal,
             sink.clone(),
-            DurableLogConfig::default(),
+            ContainerConfig::default(),
             &MetricsRegistry::new(),
         )
         .unwrap();
@@ -716,18 +652,12 @@ mod tests {
                 seq,
                 op: append_op(seq),
                 completer: Some(completer),
-                ack: OpAck::Appended {
-                    tail: (seq + 1) * 10,
-                },
             })
             .unwrap();
             promises.push(pr);
         }
-        for (seq, pr) in promises.into_iter().enumerate() {
-            match pr.wait().unwrap().unwrap() {
-                OpAck::Appended { tail } => assert_eq!(tail, (seq as u64 + 1) * 10),
-                other => panic!("unexpected ack {other:?}"),
-            }
+        for pr in promises {
+            pr.wait().unwrap().unwrap();
         }
         {
             let applied = sink.applied.lock();
@@ -747,7 +677,7 @@ mod tests {
         let log = DurableLog::start(
             wal.clone(),
             sink.clone(),
-            DurableLogConfig::default(),
+            ContainerConfig::default(),
             &MetricsRegistry::new(),
         )
         .unwrap();
@@ -757,7 +687,6 @@ mod tests {
             seq: 0,
             op: append_op(0),
             completer: Some(c1),
-            ack: OpAck::Done,
         })
         .unwrap();
         p1.wait().unwrap().unwrap();
@@ -768,7 +697,6 @@ mod tests {
             seq: 1,
             op: append_op(1),
             completer: Some(c2),
-            ack: OpAck::Done,
         })
         .unwrap();
         assert!(p2.wait().unwrap().is_err());
@@ -786,7 +714,6 @@ mod tests {
                 seq: 2,
                 op: append_op(2),
                 completer: None,
-                ack: OpAck::Done,
             })
             .unwrap_err();
         assert_eq!(err, SegmentError::ContainerStopped);
@@ -801,10 +728,10 @@ mod tests {
         let log = DurableLog::start(
             wal.clone(),
             sink,
-            DurableLogConfig {
+            ContainerConfig {
                 max_frame_bytes: 1,
                 max_batch_delay: Duration::ZERO,
-                ..DurableLogConfig::default()
+                ..ContainerConfig::default()
             },
             &MetricsRegistry::new(),
         )
@@ -816,7 +743,6 @@ mod tests {
                 seq,
                 op: append_op(seq), // appends end at (seq+1)*10
                 completer: Some(c),
-                ack: OpAck::Done,
             })
             .unwrap();
             wait_all.push(p);
@@ -834,7 +760,6 @@ mod tests {
                 .encode(),
             },
             completer: Some(c),
-            ack: OpAck::Done,
         })
         .unwrap();
         wait_all.push(p);
@@ -871,10 +796,10 @@ mod tests {
         let log = DurableLog::start(
             wal.clone(),
             sink,
-            DurableLogConfig {
+            ContainerConfig {
                 max_frame_bytes: 1,
                 max_batch_delay: Duration::ZERO,
-                ..DurableLogConfig::default()
+                ..ContainerConfig::default()
             },
             &MetricsRegistry::new(),
         )
@@ -886,7 +811,6 @@ mod tests {
                 seq,
                 op: append_op(seq),
                 completer: Some(c),
-                ack: OpAck::Done,
             })
             .unwrap();
             wait_all.push(p);
@@ -900,7 +824,6 @@ mod tests {
                 segment: "s".into(),
             },
             completer: Some(c),
-            ack: OpAck::Done,
         })
         .unwrap();
         wait_all.push(p);
@@ -915,7 +838,6 @@ mod tests {
                 .encode(),
             },
             completer: Some(c),
-            ack: OpAck::Done,
         })
         .unwrap();
         wait_all.push(p);
@@ -943,10 +865,10 @@ mod tests {
         let log = DurableLog::start(
             wal,
             sink,
-            DurableLogConfig {
+            ContainerConfig {
                 max_frame_bytes: 1 << 20,
                 max_batch_delay: Duration::from_millis(10),
-                ..DurableLogConfig::default()
+                ..ContainerConfig::default()
             },
             &MetricsRegistry::new(),
         )
@@ -960,7 +882,6 @@ mod tests {
                 seq,
                 op: append_op(seq),
                 completer: Some(c),
-                ack: OpAck::Done,
             })
             .unwrap();
             promises.push((Instant::now(), p));
@@ -994,7 +915,7 @@ mod tests {
         let log = DurableLog::start(
             wal,
             sink,
-            DurableLogConfig::default(),
+            ContainerConfig::default(),
             &MetricsRegistry::new(),
         )
         .unwrap();
@@ -1005,7 +926,6 @@ mod tests {
                 seq,
                 op: append_op(seq),
                 completer: Some(c),
-                ack: OpAck::Done,
             })
             .unwrap();
             promises.push(p);

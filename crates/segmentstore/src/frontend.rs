@@ -91,11 +91,6 @@ impl TcpFrontend {
         self.local_addr
     }
 
-    /// Live connections currently being served.
-    pub fn connection_count(&self) -> usize {
-        self.conns.lock().len()
-    }
-
     /// Severs every live connection mid-flight (both directions), returning
     /// how many were cut. Clients observe `ConnectionClosed` on in-flight
     /// and subsequent operations and must reconnect + re-handshake.

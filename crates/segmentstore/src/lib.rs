@@ -38,11 +38,16 @@ pub mod store;
 pub mod tablesegment;
 
 pub use cache::{BlockCache, CacheAddress, CacheConfig};
-pub use container::{ContainerConfig, SegmentContainer, ThrottleMode};
+pub use container::{ContainerConfig, SegmentContainer};
 pub use error::SegmentError;
 pub use frontend::TcpFrontend;
 pub use metadata::SegmentInfoSnapshot;
 pub use store::{SegmentStore, SegmentStoreConfig};
 
 mod durablelog;
+mod processor;
+mod readpath;
+mod recovery;
+mod state;
 mod storagewriter;
+mod throttle;

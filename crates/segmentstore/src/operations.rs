@@ -105,28 +105,6 @@ impl Operation {
         }
     }
 
-    /// Serialized size estimate (used for frame sizing).
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            Operation::Append { segment, data, .. } => 64 + segment.len() + data.len(),
-            Operation::TableUpdate { segment, entries } => {
-                32 + segment.len()
-                    + entries
-                        .iter()
-                        .map(|e| 8 + e.key.len() + e.value.len())
-                        .sum::<usize>()
-            }
-            Operation::TableRemove { segment, keys } => {
-                32 + segment.len() + keys.iter().map(|k| 4 + k.len()).sum::<usize>()
-            }
-            Operation::MetadataCheckpoint { snapshot } => 16 + snapshot.len(),
-            Operation::CreateSegment { segment, .. }
-            | Operation::Seal { segment }
-            | Operation::Truncate { segment, .. }
-            | Operation::Delete { segment } => 32 + segment.len(),
-        }
-    }
-
     /// Binary encoding.
     pub fn encode(&self, buf: &mut BytesMut) {
         match self {

@@ -16,10 +16,11 @@
 //! * **Decoupled truncation.** Checkpoint + WAL truncation run on their own
 //!   thread, so a slow truncate (ledger deletion, coordination round-trips)
 //!   can never extend a flush pass and back the data path up behind it. The
-//!   test hook [`flush_pass`] still checkpoints inline so tests observe
-//!   truncation synchronously.
+//!   test hook [`flush_pass`] checkpoints itself instead of signalling, so
+//!   tests observe truncation synchronously.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -35,36 +36,43 @@ use pravega_lts::LtsError;
 use crate::container::{ContainerConfig, ContainerInner};
 use crate::error::SegmentError;
 
-/// Builds the flush pacer from the container config; `None` when pacing is
-/// disabled (`flush_bytes_per_sec == 0`).
+/// Builds the flush pacer from the container config.
 ///
 /// The burst is clamped to at least `max_flush_bytes`: each chunk is charged
 /// in full before it moves, so the burst must be able to cover one whole
 /// chunk or the first chunk of every pass would start in debt. With that
 /// invariant, bytes moved over any window never exceed
 /// `rate * window + burst`.
-pub(crate) fn flush_pacer(config: &ContainerConfig) -> Option<TokenBucket> {
-    if config.flush_bytes_per_sec > 0.0 {
-        Some(TokenBucket::new(
-            config.flush_bytes_per_sec,
-            config
-                .flush_burst_bytes
-                .max(config.max_flush_bytes as f64)
-                .max(1.0),
-        ))
-    } else {
-        None
+pub(crate) fn flush_pacer(config: &ContainerConfig) -> Result<TokenBucket, SegmentError> {
+    let rate = config.flush_bytes_per_sec;
+    if rate.is_nan() || rate <= 0.0 {
+        return Err(SegmentError::Internal(format!(
+            "flush_bytes_per_sec must be positive, got {rate}"
+        )));
     }
+    Ok(TokenBucket::new(
+        rate,
+        config
+            .flush_burst_bytes
+            .max(config.max_flush_bytes as f64)
+            .max(1.0),
+    ))
 }
 
 /// Starts the background flusher thread for a container.
 pub(crate) fn start_flusher(inner: Arc<ContainerInner>) -> Result<JoinHandle<()>, SegmentError> {
+    let mut pacer = flush_pacer(&inner.config)?;
     std::thread::Builder::new()
         .name(format!("storage-writer-{}", inner.id))
         .spawn(move || {
-            let mut pacer = flush_pacer(&inner.config);
             while !inner.stopped.load(Ordering::SeqCst) {
-                if let Err(e) = run_flush_pass(&inner, &mut pacer, TruncateMode::Deferred) {
+                let (result, truncate_due) = run_flush_pass(&inner, Some(&mut pacer));
+                if truncate_due {
+                    // The truncator thread picks the signal up within one
+                    // interval.
+                    inner.truncate_pending.store(true, Ordering::Release);
+                }
+                if let Err(e) = result {
                     // A failed pass is not fatal — the backlog stays and
                     // throttling takes over — but it must not be silent:
                     // record it so a stuck tiering path is observable.
@@ -123,37 +131,32 @@ struct FlushTarget {
     flushed: u64,
 }
 
-/// Whether a pass performs the checkpoint + WAL truncation itself or hands
-/// it to the truncator thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TruncateMode {
-    /// Checkpoint and truncate within the pass — the test hook's mode, so
-    /// tests polling `retained_wal_frames` observe truncation synchronously.
-    Inline,
-    /// Signal `truncate_pending` and move on — the background flusher's
-    /// mode; the truncator thread picks the signal up within one interval.
-    Deferred,
-}
-
-/// One flush pass with inline checkpoint + truncation and no pacing — the
-/// test hook behind [`crate::container::SegmentContainer::flush_once`].
+/// One flush pass that does its own checkpoint + truncation and is not paced
+/// — the test hook behind [`crate::container::SegmentContainer::flush_once`],
+/// so tests polling `retained_wal_frames` observe truncation synchronously.
 /// Returns whether any data moved to LTS.
 pub(crate) fn flush_pass(inner: &Arc<ContainerInner>) -> Result<bool, SegmentError> {
-    run_flush_pass(inner, &mut None, TruncateMode::Inline)
+    let (result, truncate_due) = run_flush_pass(inner, None);
+    if truncate_due {
+        checkpoint_and_truncate(inner)?;
+    }
+    result
 }
 
+/// Moves committed data to LTS. Returns whether any moved (or the first
+/// error), and whether a checkpoint + WAL truncation is now due — which the
+/// caller performs or hands to the truncator thread.
 fn run_flush_pass(
     inner: &Arc<ContainerInner>,
-    pacer: &mut Option<TokenBucket>,
-    mode: TruncateMode,
-) -> Result<bool, SegmentError> {
+    mut pacer: Option<&mut TokenBucket>,
+) -> (Result<bool, SegmentError>, bool) {
     let pass_start = clock::monotonic_now();
     let (targets, deletes) = snapshot_targets(inner);
     let mut worked = false;
     let mut flush_error: Option<SegmentError> = None;
 
     for target in targets {
-        match flush_segment(inner, &target, pacer) {
+        match flush_segment(inner, &target, pacer.as_deref_mut()) {
             Ok(moved) => worked |= moved,
             Err(e) => {
                 // LTS hiccup: leave the backlog; throttling takes over.
@@ -181,15 +184,9 @@ fn run_flush_pass(
     // forever.
     let ops_since = inner.ops_since_checkpoint.load(Ordering::Relaxed);
     let quiesced = inner.unflushed_bytes.load(Ordering::Relaxed) == 0;
-    if (worked || quiesced || ops_since >= inner.config.checkpoint_interval_ops)
+    let truncate_due = (worked || quiesced || ops_since >= inner.config.checkpoint_interval_ops)
         && ops_since > 0
-        && !inner.stopped.load(Ordering::SeqCst)
-    {
-        match mode {
-            TruncateMode::Inline => checkpoint_and_truncate(inner)?,
-            TruncateMode::Deferred => inner.truncate_pending.store(true, Ordering::Release),
-        }
-    }
+        && !inner.stopped.load(Ordering::SeqCst);
 
     inner
         .metrics
@@ -200,17 +197,13 @@ fn run_flush_pass(
         .flush_lag_bytes
         .set(inner.unflushed_bytes.load(Ordering::Relaxed) as i64);
 
-    match flush_error {
-        Some(e) => Err(e),
-        None => Ok(worked),
-    }
+    (flush_error.map_or(Ok(worked), Err), truncate_due)
 }
 
 /// Writes a metadata checkpoint and truncates the WAL below it. Runs on the
-/// truncator thread in production (deferred mode) and inline from the test
-/// hook; either way the checkpoint contends with appends through the
-/// operation processor, so the whole step is attributed as a truncation
-/// stall.
+/// truncator thread in production and inline from the test hook; either way
+/// the checkpoint contends with appends through the operation processor, so
+/// the whole step is attributed as a truncation stall.
 fn checkpoint_and_truncate(inner: &Arc<ContainerInner>) -> Result<(), SegmentError> {
     let start = clock::monotonic_now();
     if inner
@@ -226,10 +219,16 @@ fn checkpoint_and_truncate(inner: &Arc<ContainerInner>) -> Result<(), SegmentErr
         ));
     }
     inner.write_checkpoint()?;
-    let flushed_map: std::collections::HashMap<String, u64> = inner.core.lock().flushed.clone();
-    if let Some(log) = inner.log.get() {
-        let _ = log.truncate_flushed(|segment| flushed_map.get(segment).copied());
-    }
+    let flushed: HashMap<String, u64> = inner
+        .core
+        .lock()
+        .segments
+        .iter()
+        .map(|(name, st)| (name.clone(), st.flushed))
+        .collect();
+    let _ = inner
+        .log()
+        .truncate_flushed(|segment| flushed.get(segment).copied());
     inner
         .metrics
         .stalls
@@ -242,17 +241,14 @@ fn snapshot_targets(inner: &Arc<ContainerInner>) -> (Vec<FlushTarget>, Vec<Strin
     let core = &mut *guard;
     let deletes = std::mem::take(&mut core.pending_lts_deletes);
     let targets = core
-        .segments_overview()
-        .into_iter()
-        .map(|(name, committed_len, sealed, start_offset)| {
-            let flushed = core.flushed.get(&name).copied().unwrap_or(0);
-            FlushTarget {
-                name,
-                committed_len,
-                sealed,
-                start_offset,
-                flushed,
-            }
+        .segments
+        .iter()
+        .map(|(name, st)| FlushTarget {
+            name: name.clone(),
+            committed_len: st.meta.length,
+            sealed: st.meta.sealed,
+            start_offset: st.meta.start_offset,
+            flushed: st.flushed,
         })
         .collect();
     (targets, deletes)
@@ -261,7 +257,7 @@ fn snapshot_targets(inner: &Arc<ContainerInner>) -> (Vec<FlushTarget>, Vec<Strin
 fn flush_segment(
     inner: &Arc<ContainerInner>,
     target: &FlushTarget,
-    pacer: &mut Option<TokenBucket>,
+    mut pacer: Option<&mut TokenBucket>,
 ) -> Result<bool, SegmentError> {
     let mut flushed = target.flushed;
     let mut worked = false;
@@ -284,7 +280,7 @@ fn flush_segment(
         // tiering trickles at the configured rate instead of monopolizing LTS
         // in bursts. (A retry that resumes mid-batch moves fewer bytes than
         // charged; overpaying keeps the bound conservative.)
-        if let Some(bucket) = pacer.as_mut() {
+        if let Some(bucket) = pacer.as_deref_mut() {
             let wait = bucket.take_and_wait(n as f64, inner.clock.now_nanos());
             sleep_interruptible(wait, &inner.stopped);
         }
@@ -338,16 +334,11 @@ fn flush_segment(
         let moved = new_len - flushed;
         flushed = new_len;
         inner.metrics.flushed_bytes.add(moved);
-        inner
-            .core
-            .lock()
-            .flushed
-            .insert(target.name.clone(), flushed);
-        let _ = inner
-            .unflushed_bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(moved))
-            });
+        // (A segment deleted mid-flush has no record left to advance.)
+        if let Some(st) = inner.core.lock().segments.get_mut(&target.name) {
+            st.flushed = flushed;
+        }
+        inner.release_unflushed(moved);
         worked = true;
     }
 
@@ -391,9 +382,9 @@ mod pacing_tests {
     }
 
     #[test]
-    fn zero_rate_disables_pacing() {
-        assert!(flush_pacer(&paced_config(0.0, 1024.0)).is_none());
-        assert!(flush_pacer(&paced_config(1024.0, 1024.0)).is_some());
+    fn non_positive_rate_is_rejected() {
+        assert!(flush_pacer(&paced_config(0.0, 1024.0)).is_err());
+        assert!(flush_pacer(&paced_config(1024.0, 1024.0)).is_ok());
     }
 
     /// The flush token bucket never exceeds its configured rate over *any*
@@ -408,7 +399,7 @@ mod pacing_tests {
         let mut config = paced_config(rate, 64.0 * 1024.0);
         config.max_flush_bytes = 128 * 1024;
         let burst = config.max_flush_bytes as f64;
-        let mut bucket = flush_pacer(&config).expect("pacing enabled");
+        let mut bucket = flush_pacer(&config).expect("positive rate");
         let mut now: Timestamp = 0;
         // (timestamp, bytes) of each simulated chunk write; sizes vary the
         // way real passes do (small trickle chunks up to max-flush bursts).

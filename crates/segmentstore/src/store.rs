@@ -13,13 +13,13 @@ use std::time::Duration;
 
 use crossbeam::channel::unbounded;
 use pravega_common::hashing::container_for_segment;
-use pravega_common::id::ContainerId;
+use pravega_common::id::{ContainerId, WriterId};
 use pravega_common::wire::{
     connection_pair, Connection, Reply, ReplyEnvelope, Request, SegmentInfo, ServerEnd,
 };
 use pravega_sync::{rank, Mutex};
 
-use crate::container::{ContainerConfig, SegmentContainer, SegmentLoad};
+use crate::container::{AppendHandle, ContainerConfig, SegmentContainer, SegmentLoad};
 use crate::error::SegmentError;
 
 /// Configuration of a segment store instance.
@@ -251,14 +251,7 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
                 event_count,
                 expected_offset,
             );
-            match handle.wait() {
-                Ok(outcome) => Reply::DataAppended {
-                    writer_id,
-                    last_event_number,
-                    current_tail: outcome.tail,
-                },
-                Err(e) => error_reply(e),
-            }
+            append_reply(handle, writer_id, last_event_number)
         }
         Request::ReadSegment {
             segment,
@@ -304,7 +297,7 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
             Err(e) => error_reply(e),
         },
         Request::GetWriterAttribute { segment, writer_id } => {
-            match container.get_attribute(&segment.qualified_name(), writer_id) {
+            match container.setup_append(&segment.qualified_name(), writer_id) {
                 Ok(last_event_number) => Reply::WriterAttribute { last_event_number },
                 Err(e) => error_reply(e),
             }
@@ -351,46 +344,41 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
     }
 }
 
+/// Waits for an append to become durable and renders the outcome.
+fn append_reply(handle: AppendHandle, writer_id: WriterId, last_event_number: i64) -> Reply {
+    match handle.wait() {
+        Ok(outcome) => Reply::DataAppended {
+            writer_id,
+            last_event_number,
+            current_tail: outcome.tail,
+        },
+        Err(e) => error_reply(e),
+    }
+}
+
 pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
     // Appends are acknowledged by a dedicated pump so the request loop never
     // blocks on durability — this is what lets a writer keep the batch
     // in-flight on the wire while the server collects it (§4.1).
-    enum AckItem {
-        Append {
-            request_id: u64,
-            writer_id: pravega_common::id::WriterId,
-            last_event_number: i64,
-            handle: crate::container::AppendHandle,
-        },
+    struct AckItem {
+        request_id: u64,
+        writer_id: WriterId,
+        last_event_number: i64,
+        handle: AppendHandle,
     }
     let (ack_tx, ack_rx) = unbounded::<AckItem>();
     let ack_server = server.clone();
     let pump_result = std::thread::Builder::new()
         .name("conn-ack-pump".into())
         .spawn(move || {
-            while let Ok(item) = ack_rx.recv() {
-                match item {
-                    AckItem::Append {
-                        request_id,
-                        writer_id,
-                        last_event_number,
-                        handle,
-                    } => {
-                        let reply = match handle.wait() {
-                            Ok(outcome) => Reply::DataAppended {
-                                writer_id,
-                                last_event_number,
-                                current_tail: outcome.tail,
-                            },
-                            Err(e) => error_reply(e),
-                        };
-                        if ack_server
-                            .send(ReplyEnvelope { request_id, reply })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
+            while let Ok(ack) = ack_rx.recv() {
+                let reply = append_reply(ack.handle, ack.writer_id, ack.last_event_number);
+                let request_id = ack.request_id;
+                if ack_server
+                    .send(ReplyEnvelope { request_id, reply })
+                    .is_err()
+                {
+                    break;
                 }
             }
         });
@@ -404,7 +392,7 @@ pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
     // its `SetupAppend` handshakes. Appends carry the session so a newer
     // handshake (the writer reconnected elsewhere) fences this connection's
     // still-queued blocks out instead of letting them race the resend.
-    let mut sessions: HashMap<(pravega_common::id::WriterId, String), u64> = HashMap::new();
+    let mut sessions: HashMap<(WriterId, String), u64> = HashMap::new();
 
     while let Ok(envelope) = server.recv() {
         let request_id = envelope.request_id;
@@ -450,7 +438,7 @@ pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
                 match reply_or_handle {
                     Ok(handle) => {
                         if ack_tx
-                            .send(AckItem::Append {
+                            .send(AckItem {
                                 request_id,
                                 writer_id,
                                 last_event_number,

@@ -28,8 +28,10 @@ pub struct TableState {
 
 impl TableState {
     /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            entries: BTreeMap::new(),
+        }
     }
 
     /// Rebuilds a table from snapshot entries.

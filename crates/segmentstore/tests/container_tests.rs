@@ -13,7 +13,7 @@ use pravega_lts::{
     ThrottleModel, ThrottledChunkStorage,
 };
 use pravega_segmentstore::cache::CacheConfig;
-use pravega_segmentstore::{ContainerConfig, SegmentContainer, SegmentError, ThrottleMode};
+use pravega_segmentstore::{ContainerConfig, SegmentContainer, SegmentError};
 use pravega_wal::log::{DurableDataLog, InMemoryLog};
 
 fn lts_over(chunks: Arc<dyn pravega_lts::ChunkStorage>) -> ChunkedSegmentStorage {
@@ -830,6 +830,129 @@ fn event_segment_rejects_table_ops_and_vice_versa() {
     c.stop();
 }
 
+/// Every modifying verb (and the checkpoint write) takes its sequence number
+/// and its place in the WAL queue in one step: under contention from four
+/// threads the WAL must replay gap-free, in strictly increasing sequence
+/// order, with each segment's appends laid end to end — and recovery over
+/// that WAL must land on the same segments.
+#[test]
+fn concurrent_verbs_share_one_gap_free_sequence() {
+    use pravega_segmentstore::dataframe::decode_frame;
+    use pravega_segmentstore::operations::Operation;
+    use std::collections::HashMap;
+
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 40;
+    let wal = Arc::new(InMemoryLog::new());
+    let lts = lts_over(Arc::new(InMemoryChunkStorage::new()));
+    let config = ContainerConfig {
+        // No background flush pass, so no checkpoint or WAL truncation
+        // beyond the ones this test issues: the WAL keeps every operation.
+        flush_interval: Duration::from_secs(3600),
+        ..quick_config()
+    };
+    let c = SegmentContainer::start(
+        ContainerId(0),
+        wal.clone(),
+        lts.clone(),
+        Arc::new(SystemClock::new()),
+        config,
+    )
+    .unwrap();
+    c.create_segment("shared", false).unwrap();
+    let start = std::sync::Barrier::new(THREADS);
+    let sequenced: usize = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (c, start) = (&c, &start);
+                scope.spawn(move || {
+                    let (own, table, temp) = (
+                        format!("own-{t}"),
+                        format!("table-{t}"),
+                        format!("temp-{t}"),
+                    );
+                    let w = WriterId::random();
+                    start.wait();
+                    c.create_segment(&own, false).unwrap();
+                    c.create_segment(&table, true).unwrap();
+                    let mut ops = 2;
+                    for i in 0..ROUNDS {
+                        let n = i as i64;
+                        let pending = c.append(&own, Bytes::from(vec![t as u8; 10]), w, n, 1, None);
+                        c.append("shared", Bytes::from(vec![t as u8; 7]), w, n, 1, None)
+                            .wait()
+                            .unwrap();
+                        pending.wait().unwrap();
+                        let key = Bytes::from(format!("k{}", i % 5));
+                        c.table_update(&table, vec![(key.clone(), Bytes::from_static(b"v"), None)])
+                            .unwrap();
+                        ops += 3;
+                        if i % 8 == 0 {
+                            c.table_remove(&table, vec![(key, None)]).unwrap();
+                            c.truncate(&own, 5).unwrap();
+                            c.create_segment(&temp, false).unwrap();
+                            c.delete(&temp).unwrap();
+                            c.checkpoint().unwrap();
+                            ops += 5;
+                        }
+                    }
+                    c.seal(&own).unwrap();
+                    ops + 1
+                })
+            })
+            .collect();
+        workers.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    let info_of = |c: &SegmentContainer| -> Vec<_> {
+        c.segment_names()
+            .iter()
+            .map(|name| {
+                let i = c.get_info(name).unwrap();
+                (i.name, i.length, i.start_offset, i.sealed, i.is_table)
+            })
+            .collect()
+    };
+    let before = info_of(&c);
+    assert_eq!(before.len(), 1 + 2 * THREADS);
+    c.stop();
+
+    let mut replayed = Vec::new();
+    for (_, frame) in wal.read_after(None).unwrap() {
+        replayed.extend(decode_frame(&frame).unwrap());
+    }
+    assert_eq!(
+        replayed.len(),
+        1 + sequenced,
+        "one WAL record per sequenced op"
+    );
+    let mut tails: HashMap<&str, u64> = HashMap::new();
+    for (i, (seq, op)) in replayed.iter().enumerate() {
+        assert_eq!(
+            *seq,
+            replayed[0].0 + i as u64,
+            "gap or reorder at WAL position {i}"
+        );
+        if let Operation::Append {
+            segment,
+            offset,
+            data,
+            ..
+        } = op
+        {
+            let tail = tails.entry(segment).or_insert(0);
+            assert_eq!(
+                offset, tail,
+                "append to {segment} out of place at seq {seq}"
+            );
+            *tail += data.len() as u64;
+        }
+    }
+
+    let recovered = start_container(wal, lts);
+    assert_eq!(info_of(&recovered), before);
+    recovered.stop();
+}
+
 #[test]
 fn slow_lts_throttles_writers() {
     // LTS slower than the offered load, and a small throttle threshold:
@@ -843,10 +966,10 @@ fn slow_lts_throttles_writers() {
     );
     let mut config = quick_config();
     config.throttle_threshold_bytes = 20_000;
-    // On/off mode holds the historical hard bound: no append is admitted
-    // while the backlog is above the threshold (gradual mode trades this
-    // bound for smooth latency; see the test below).
-    config.throttle_mode = ThrottleMode::OnOff;
+    // A hard-limit ratio of 1.0 leaves no soft zone and holds the hard
+    // bound: no append is admitted while the backlog is above the threshold
+    // (a soft zone trades this bound for smooth latency; see the test below).
+    config.throttle_hard_limit_ratio = 1.0;
     let c = SegmentContainer::start(
         ContainerId(0),
         Arc::new(InMemoryLog::new()),
@@ -874,8 +997,8 @@ fn slow_lts_throttles_writers() {
 
 #[test]
 fn gradual_throttle_bounds_backlog_and_releases_promptly() {
-    // Gradual mode admits appends through the soft zone with a delay that
-    // grows with the backlog: the backlog must stay below the hard limit
+    // The soft zone admits appends with a delay that grows with the
+    // backlog: the backlog must stay below the hard limit
     // (plus one append burst), and once the backlog drains an append must
     // go through with no residual throttle delay.
     let slow = ThrottledChunkStorage::new(
@@ -887,9 +1010,7 @@ fn gradual_throttle_bounds_backlog_and_releases_promptly() {
     );
     let mut config = quick_config();
     config.throttle_threshold_bytes = 20_000;
-    config.throttle_mode = ThrottleMode::Gradual;
     config.throttle_hard_limit_ratio = 2.0;
-    config.throttle_max_delay = Duration::from_millis(20);
     let hard_limit = 40_000u64;
     let c = SegmentContainer::start(
         ContainerId(0),

@@ -69,6 +69,18 @@ pub trait Bookie: Send + Sync + std::fmt::Debug {
 struct LedgerState {
     entries: BTreeMap<u64, Bytes>,
     fence_token: u64,
+    /// Set by `delete_ledger`: the data is gone but the fence must outlive
+    /// it. A new owner recovers (fences) a crashed owner's ledger and soon
+    /// truncates it away; forgetting the fence with the data would let the
+    /// crashed owner's late adds succeed — acked into a ledger nobody reads.
+    deleted: bool,
+}
+
+impl LedgerState {
+    fn tombstone(&mut self) {
+        self.entries.clear();
+        self.deleted = true;
+    }
 }
 
 #[derive(Debug, Default)]
@@ -272,6 +284,7 @@ impl Bookie for MemBookie {
         let ls = state
             .ledgers
             .get(&ledger)
+            .filter(|ls| !ls.deleted)
             .ok_or(BookieError::NoSuchLedger)?;
         ls.entries
             .get(&entry)
@@ -298,7 +311,9 @@ impl Bookie for MemBookie {
 
     fn delete_ledger(&self, ledger: LedgerId) -> Result<(), BookieError> {
         self.check_available()?;
-        self.state.lock().ledgers.remove(&ledger);
+        if let Some(ls) = self.state.lock().ledgers.get_mut(&ledger) {
+            ls.tombstone();
+        }
         Ok(())
     }
 }
@@ -498,6 +513,7 @@ impl Bookie for FileBookie {
         let ls = state
             .ledgers
             .get(&ledger)
+            .filter(|ls| !ls.deleted)
             .ok_or(BookieError::NoSuchLedger)?;
         ls.entries
             .get(&entry)
@@ -528,8 +544,9 @@ impl Bookie for FileBookie {
 
     fn delete_ledger(&self, ledger: LedgerId) -> Result<(), BookieError> {
         self.journal.append(encode_journal_delete(ledger))?;
-        let mut state = self.state.lock();
-        state.ledgers.remove(&ledger);
+        if let Some(ls) = self.state.lock().ledgers.get_mut(&ledger) {
+            ls.tombstone();
+        }
         Ok(())
     }
 }
@@ -616,6 +633,21 @@ mod tests {
             .unwrap();
         b.delete_ledger(LedgerId(1)).unwrap();
         assert_eq!(b.read_entry(LedgerId(1), 0), Err(BookieError::NoSuchLedger));
+    }
+
+    #[test]
+    fn delete_keeps_the_fence() {
+        let b = bookie();
+        b.add_entry(LedgerId(1), 0, 1, Bytes::from_static(b"x"))
+            .unwrap();
+        b.fence(LedgerId(1), 2).unwrap();
+        b.delete_ledger(LedgerId(1)).unwrap();
+        // The old owner (token 1) is still locked out of the deleted ledger.
+        assert!(matches!(
+            b.add_entry(LedgerId(1), 1, 1, Bytes::from_static(b"late")),
+            Err(BookieError::Fenced { .. })
+        ));
+        assert_eq!(b.last_entry(LedgerId(1)).unwrap(), None);
     }
 
     #[test]

@@ -749,6 +749,26 @@ mod tests {
         assert!(addr > read[4].0);
     }
 
+    /// The interleaving behind the `crashed_store_leaves_fenced_zombie_wal_handles`
+    /// flake: the new owner tiers the recovered data and truncates the old
+    /// owner's ledger away *before* the zombie's next append. Deleting the
+    /// ledger must not delete its fence.
+    #[test]
+    fn zombie_stays_fenced_after_new_owner_truncates_its_ledger() {
+        let (coord, pool) = setup();
+        let log1 = small_log(&coord, &pool, 1 << 20);
+        log1.append(Bytes::from_static(b"r0")).wait().unwrap();
+
+        let log2 = small_log(&coord, &pool, 1 << 20);
+        let addr = log2.append(Bytes::from_static(b"new")).wait().unwrap();
+        log2.truncate(addr).unwrap();
+        assert_eq!(log2.ledger_count(), 1, "the recovered ledger is deleted");
+
+        let r = log1.append(Bytes::from_static(b"zombie")).wait();
+        assert!(matches!(r, Err(WalError::Fenced)), "got {r:?}");
+        assert!(log1.is_fenced());
+    }
+
     #[test]
     fn reopen_twice_preserves_everything() {
         let (coord, pool) = setup();

@@ -56,7 +56,7 @@ pub const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("crates/wal/src/journal.rs", "journal_commit_loop"),
     ("crates/wal/src/journal.rs", "append_async"),
     // Container append and the server connection loop.
-    ("crates/segmentstore/src/container.rs", "append_sessioned"),
+    ("crates/segmentstore/src/processor.rs", "append_sessioned"),
     ("crates/segmentstore/src/store.rs", "connection_loop"),
     // Read index tail reads and the block cache.
     ("crates/segmentstore/src/readindex.rs", "append"),
