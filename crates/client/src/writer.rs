@@ -10,7 +10,9 @@
 //! acknowledgements (pipelining). A background pump acknowledges completed
 //! blocks, measures the round trip, closes stale blocks (bounding latency at
 //! low rates), reconnects after failures and re-routes pending events when a
-//! segment is sealed by auto-scaling.
+//! segment is sealed by auto-scaling. The pump polls nothing: it sleeps until
+//! a reply arrives on one of its connections, an open block comes due, or
+//! the writer has something else for it.
 //!
 //! Exactly-once: every event carries a per-writer monotonically increasing
 //! event number. On (re)connection the writer handshakes with the store,
@@ -32,7 +34,7 @@ use pravega_common::id::{ScopedStream, WriterId};
 use pravega_common::metrics::{Counter, Histogram, MetricsRegistry};
 use pravega_common::rate::{EwmaRate, EwmaValue};
 use pravega_common::retry::RetryPolicy;
-use pravega_common::wire::{Connection, Reply, Request, RequestEnvelope};
+use pravega_common::wire::{Connection, Reply, Request, RequestEnvelope, Wakeup};
 use pravega_controller::{ControllerService, SegmentWithRange};
 use pravega_sync::{rank, Mutex};
 
@@ -147,6 +149,12 @@ struct WriterShared {
     state: Mutex<WriterState>,
     pending_events: AtomicUsize,
     stopped: AtomicBool,
+    /// Wakes the pump: a reply or a closed link on any segment connection, a
+    /// newly opened block (its close time is the pump's next deadline), a
+    /// failure recorded by the application thread, or shutdown.
+    pump_wakeup: Arc<Wakeup>,
+    /// Wakes `flush()`: the last pending event resolved, or the writer failed.
+    drained: Wakeup,
     metrics: WriterMetrics,
 }
 
@@ -197,6 +205,8 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
             ),
             pending_events: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
+            pump_wakeup: Arc::new(Wakeup::default()),
+            drained: Wakeup::default(),
         });
         let pump_shared = shared.clone();
         let pump = match std::thread::Builder::new()
@@ -285,7 +295,8 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
             completer: Some(completer),
         };
         if let Err(e) = route_event(&self.shared, &mut state, position, pending) {
-            state.failed = Some(e.clone());
+            state.failed = Some(e);
+            self.shared.pump_wakeup.wake();
         }
         pr
     }
@@ -339,6 +350,7 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
                 }
                 Err(e) => {
                     state.failed = Some(e);
+                    self.shared.pump_wakeup.wake();
                     break;
                 }
             }
@@ -376,7 +388,7 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
             if clock::monotonic_now() > deadline {
                 return Err(ClientError::Timeout);
             }
-            std::thread::sleep(Duration::from_micros(200));
+            self.shared.drained.wait_until(Some(deadline));
         }
         self.shared
             .metrics
@@ -402,6 +414,7 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
 
     fn shutdown(&mut self) {
         self.shared.stopped.store(true, Ordering::SeqCst);
+        self.shared.pump_wakeup.wake();
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
@@ -419,6 +432,7 @@ fn open_segment(
     info: SegmentWithRange,
 ) -> Result<OpenSegment, ClientError> {
     let connection = shared.factory.connect(&info.endpoint)?;
+    connection.wake_on_reply(shared.pump_wakeup.clone());
     let mut seg = OpenSegment {
         info,
         connection,
@@ -533,12 +547,18 @@ fn route_event_inner(
         }
         let max_batch = shared.config.max_batch_bytes;
         let seg = &mut state.segments[idx];
+        let opens_block = seg.block_opened.is_none();
         append_to_block(shared, seg, event);
         if !defer_send {
             let estimate = batch_size_estimate(shared, seg, max_batch);
             if seg.block.len() >= estimate {
                 send_block(shared, seg, max_batch);
             }
+        }
+        if opens_block && seg.block_opened.is_some() {
+            // The block stays open: its close time may now be the pump's
+            // earliest deadline.
+            shared.pump_wakeup.wake();
         }
         return Ok(idx);
     }
@@ -644,11 +664,8 @@ fn handle_sealed(
         .successors(&shared.stream, seg.info.segment.segment_id())?;
     if successors.is_empty() {
         // Stream sealed: fail the events.
-        for mut e in pending {
-            if let Some(c) = e.completer.take() {
-                shared.pending_events.fetch_sub(1, Ordering::SeqCst);
-                c.complete(Err(ClientError::Sealed));
-            }
+        for event in pending {
+            resolve_event(shared, event, Err(ClientError::Sealed));
         }
         return Err(ClientError::Sealed);
     }
@@ -687,18 +704,16 @@ fn reconnect_retry_policy() -> RetryPolicy {
 /// the handshake watermark to drop already-durable events.
 fn reconnect(shared: &Arc<WriterShared>, seg: &mut OpenSegment) -> Result<(), ClientError> {
     seg.connection = shared.factory.connect(&seg.info.endpoint)?;
+    seg.connection.wake_on_reply(shared.pump_wakeup.clone());
     let last_durable = handshake(shared, seg)?;
     let mut pending: Vec<PendingEvent> = Vec::new();
     for block in seg.inflight.drain(..) {
         pending.extend(block.events);
     }
     pending.sort_by_key(|e| e.event_number);
-    for mut event in pending {
+    for event in pending {
         if event.event_number <= last_durable {
-            if let Some(c) = event.completer.take() {
-                shared.pending_events.fetch_sub(1, Ordering::SeqCst);
-                c.complete(Ok(()));
-            }
+            resolve_event(shared, event, Ok(()));
         } else {
             append_to_block(shared, seg, event);
         }
@@ -710,12 +725,9 @@ fn reconnect(shared: &Arc<WriterShared>, seg: &mut OpenSegment) -> Result<(), Cl
 /// Background pump: acknowledge inflight blocks, close stale blocks, handle
 /// seals and reconnects.
 fn pump_loop(shared: Arc<WriterShared>) {
-    // Adaptive poll interval: hot while acks flow, backing off to 2 ms when
-    // idle (matters on small machines where polling threads compete).
-    let mut idle_sleep = Duration::from_micros(200);
     while !shared.stopped.load(Ordering::SeqCst) {
-        let mut did_work = false;
-        {
+        // When the earliest open block comes due; `None` while none is open.
+        let next_close = {
             let mut state = shared.state.lock();
             let mut sealed_indices: Vec<usize> = Vec::new();
             let mut broken_indices: Vec<usize> = Vec::new();
@@ -728,7 +740,6 @@ fn pump_loop(shared: Arc<WriterShared>) {
                             Reply::DataAppended {
                                 last_event_number, ..
                             } => {
-                                did_work = true;
                                 while let Some(front) = seg.inflight.front() {
                                     if front.last_event_number > last_event_number {
                                         break;
@@ -739,11 +750,8 @@ fn pump_loop(shared: Arc<WriterShared>) {
                                     let elapsed = block.sent_at.elapsed();
                                     seg.rtt_secs.record(elapsed.as_secs_f64());
                                     shared.metrics.rtt_nanos.record(elapsed.as_nanos() as u64);
-                                    for mut e in block.events {
-                                        if let Some(c) = e.completer.take() {
-                                            shared.pending_events.fetch_sub(1, Ordering::SeqCst);
-                                            c.complete(Ok(()));
-                                        }
+                                    for event in block.events {
+                                        resolve_event(&shared, event, Ok(()));
                                     }
                                 }
                             }
@@ -771,7 +779,6 @@ fn pump_loop(shared: Arc<WriterShared>) {
                 if let Some(opened) = seg.block_opened {
                     if opened.elapsed() >= shared.config.max_batch_delay {
                         send_block(&shared, seg, max_batch);
-                        did_work = true;
                     }
                 }
             }
@@ -819,13 +826,14 @@ fn pump_loop(shared: Arc<WriterShared>) {
             if let Some(e) = state.failed.clone() {
                 fail_all_pending(&shared, &mut state, &e);
             }
-        }
-        idle_sleep = if did_work {
-            Duration::from_micros(200)
-        } else {
-            (idle_sleep * 2).min(Duration::from_millis(2))
+            state
+                .segments
+                .iter()
+                .filter_map(|seg| seg.block_opened)
+                .min()
+                .map(|opened| opened + shared.config.max_batch_delay)
         };
-        std::thread::sleep(idle_sleep);
+        shared.pump_wakeup.wait_until(next_close);
     }
     // Fail anything still pending on shutdown.
     let mut state = shared.state.lock();
@@ -839,19 +847,23 @@ fn pump_loop(shared: Arc<WriterShared>) {
 /// Fails every queued and inflight event promise with `error`.
 fn fail_all_pending(shared: &Arc<WriterShared>, state: &mut WriterState, error: &ClientError) {
     for seg in &mut state.segments {
-        for block in seg.inflight.drain(..) {
-            for mut e in block.events {
-                if let Some(c) = e.completer.take() {
-                    shared.pending_events.fetch_sub(1, Ordering::SeqCst);
-                    c.complete(Err(error.clone()));
-                }
-            }
+        let inflight = seg.inflight.drain(..).flat_map(|block| block.events);
+        for event in inflight.chain(seg.block_events.drain(..)) {
+            resolve_event(shared, event, Err(error.clone()));
         }
-        for mut e in seg.block_events.drain(..) {
-            if let Some(c) = e.completer.take() {
-                shared.pending_events.fetch_sub(1, Ordering::SeqCst);
-                c.complete(Err(error.clone()));
-            }
+    }
+    // `flush()` must see the failure even if some event's count was lost
+    // with it (a re-route that died half way drops its events unresolved).
+    shared.drained.wake();
+}
+
+/// Resolves one event's promise, waking `flush()` if it was the last one
+/// outstanding.
+fn resolve_event(shared: &WriterShared, mut event: PendingEvent, result: Result<(), ClientError>) {
+    if let Some(completer) = event.completer.take() {
+        if shared.pending_events.fetch_sub(1, Ordering::SeqCst) == 1 {
+            shared.drained.wake();
         }
+        completer.complete(result);
     }
 }

@@ -38,8 +38,8 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvErr
 
 use crate::protocol::FrameDecoder;
 use crate::wire::{
-    Connection, ConnectionClosed, ReplyEnvelope, RequestEnvelope, ServerEnd, ServerTransport,
-    Transport,
+    Connection, ConnectionClosed, ReplyEnvelope, ReplyWakeup, RequestEnvelope, ServerEnd,
+    ServerTransport, Transport, Wakeup,
 };
 
 // Historically defined here; now shared with the in-process transport so
@@ -119,6 +119,7 @@ fn read_pump<T>(
 struct TcpClientTransport {
     tx: Sender<RequestEnvelope>,
     rx: Receiver<ReplyEnvelope>,
+    wakeup: Arc<ReplyWakeup>,
 }
 
 impl Transport for TcpClientTransport {
@@ -144,6 +145,10 @@ impl Transport for TcpClientTransport {
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(ConnectionClosed),
         }
+    }
+
+    fn wake_on_reply(&self, wakeup: Arc<Wakeup>) {
+        self.wakeup.register(wakeup);
     }
 }
 
@@ -180,17 +185,27 @@ pub fn connect_stream(stream: TcpStream) -> std::io::Result<Connection> {
             crate::protocol::encode_request(env, out);
         });
     })?;
+    let wakeup = Arc::new(ReplyWakeup::default());
+    let reader_wakeup = wakeup.clone();
     spawn_named("tcp-cli-reader", move || {
         read_pump(
             stream,
             |dec| dec.next_reply(),
-            |env| rep_tx.send(env).map_err(|_| ConnectionClosed),
+            |env| {
+                rep_tx.send(env).map_err(|_| ConnectionClosed)?;
+                reader_wakeup.wake();
+                Ok(())
+            },
         );
+        // Wake the owner to a queue that already reads as disconnected.
+        drop(rep_tx);
+        reader_wakeup.wake();
     })?;
 
     Ok(Connection::from_transport(Arc::new(TcpClientTransport {
         tx: req_tx,
         rx: rep_rx,
+        wakeup,
     })))
 }
 

@@ -12,11 +12,14 @@
 //! `pravega_segmentstore`'s frontend for the server side). Client code never
 //! sees which one it got.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use pravega_sync::{rank, Condvar, Mutex};
 
+use crate::clock;
 use crate::id::{ScopedSegment, WriterId};
 
 /// In-flight messages a connection end will queue before `send` blocks.
@@ -309,6 +312,88 @@ impl std::fmt::Display for ConnectionClosed {
 
 impl std::error::Error for ConnectionClosed {}
 
+/// A latched wake-up for a thread that serves several connections at once.
+///
+/// The owner blocks in [`Wakeup::wait_until`]; a transport's receive side
+/// (see [`Transport::wake_on_reply`]) and anyone else with work for the owner
+/// calls [`Wakeup::wake`]. A wake-up that arrives while the owner is
+/// busy is kept, so the next wait returns at once: nothing is missed between
+/// a `try_recv` that found nothing and the wait that follows it.
+#[derive(Debug)]
+pub struct Wakeup {
+    pending: Mutex<bool>,
+    signal: Condvar,
+}
+
+impl Default for Wakeup {
+    fn default() -> Self {
+        Self {
+            pending: Mutex::new(rank::WIRE_WAKEUP, false),
+            signal: Condvar::new(),
+        }
+    }
+}
+
+impl Wakeup {
+    /// Wakes the owner, or makes its next wait return immediately.
+    pub fn wake(&self) {
+        let mut pending = self.pending.lock();
+        if !std::mem::replace(&mut *pending, true) {
+            self.signal.notify_one();
+        }
+    }
+
+    /// Blocks until notified or until `deadline` (forever if `None`), then
+    /// clears the latch.
+    pub fn wait_until(&self, deadline: Option<Instant>) {
+        let mut pending = self.pending.lock();
+        while !*pending {
+            match deadline {
+                None => self.signal.wait(&mut pending),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(clock::monotonic_now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    self.signal.wait_for(&mut pending, left);
+                }
+            }
+        }
+        *pending = false;
+    }
+}
+
+/// The slot a client transport keeps its owner's [`Wakeup`] in, shared with
+/// whatever delivers replies into the transport's queue.
+#[derive(Debug, Default)]
+pub(crate) struct ReplyWakeup(OnceLock<Arc<Wakeup>>);
+
+impl ReplyWakeup {
+    pub(crate) fn register(&self, wakeup: Arc<Wakeup>) {
+        // One owner per connection: a second registration is ignored.
+        let _ = self.0.set(wakeup);
+    }
+
+    /// Call *after* the reply is queued (or the queue's sender is dropped),
+    /// so the woken owner finds it.
+    pub(crate) fn wake(&self) {
+        if let Some(wakeup) = self.0.get() {
+            wakeup.wake();
+        }
+    }
+}
+
+/// Wakes the client's [`Wakeup`] when dropped. Declared *after* the reply
+/// sender in the struct that owns both, so the owner wakes to a queue that
+/// already reads as disconnected.
+struct WakeOnDrop(Arc<ReplyWakeup>);
+
+impl Drop for WakeOnDrop {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
 /// Client side of a duplex message link to a segment store.
 ///
 /// Implementations: the in-process channel pair ([`connection_pair`]) and
@@ -345,6 +430,12 @@ pub trait Transport: Send + Sync {
     ///
     /// Returns [`ConnectionClosed`] if the peer has gone away.
     fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed>;
+
+    /// Registers `wakeup` to be notified whenever a reply becomes available
+    /// to [`Transport::try_recv`] or the link closes. Register before the
+    /// first send: earlier arrivals are not signalled. One registration per
+    /// connection; later ones are ignored.
+    fn wake_on_reply(&self, wakeup: Arc<Wakeup>);
 }
 
 /// Server side of a duplex message link: receives requests, sends replies.
@@ -424,6 +515,12 @@ impl Connection {
         self.inner.try_recv()
     }
 
+    /// Has `wakeup` notified whenever [`Connection::try_recv`] would return a
+    /// reply or an error; see [`Transport::wake_on_reply`].
+    pub fn wake_on_reply(&self, wakeup: Arc<Wakeup>) {
+        self.inner.wake_on_reply(wakeup);
+    }
+
     /// Convenience: send one request and block for its (matching) reply.
     /// Only valid on connections not used for pipelined traffic.
     ///
@@ -489,6 +586,7 @@ impl ServerEnd {
 struct ChannelTransport {
     tx: Sender<RequestEnvelope>,
     rx: Receiver<ReplyEnvelope>,
+    wakeup: Arc<ReplyWakeup>,
 }
 
 impl Transport for ChannelTransport {
@@ -518,12 +616,17 @@ impl Transport for ChannelTransport {
             Err(TryRecvError::Disconnected) => Err(ConnectionClosed),
         }
     }
+
+    fn wake_on_reply(&self, wakeup: Arc<Wakeup>) {
+        self.wakeup.register(wakeup);
+    }
 }
 
 /// In-process server transport: the other two channel halves.
 struct ChannelServerTransport {
     rx: Receiver<RequestEnvelope>,
     tx: Sender<ReplyEnvelope>,
+    wakeup: WakeOnDrop,
 }
 
 impl ServerTransport for ChannelServerTransport {
@@ -532,7 +635,9 @@ impl ServerTransport for ChannelServerTransport {
     }
 
     fn send(&self, envelope: ReplyEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)
+        self.tx.send(envelope).map_err(|_| ConnectionClosed)?;
+        self.wakeup.0.wake();
+        Ok(())
     }
 }
 
@@ -544,17 +649,20 @@ impl ServerTransport for ChannelServerTransport {
 pub fn connection_pair() -> (Connection, ServerEnd) {
     let (req_tx, req_rx) = bounded(SEND_QUEUE_DEPTH);
     let (rep_tx, rep_rx) = bounded(SEND_QUEUE_DEPTH);
+    let wakeup = Arc::new(ReplyWakeup::default());
     (
         Connection {
             inner: Arc::new(ChannelTransport {
                 tx: req_tx,
                 rx: rep_rx,
+                wakeup: wakeup.clone(),
             }),
         },
         ServerEnd {
             inner: Arc::new(ChannelServerTransport {
                 rx: req_rx,
                 tx: rep_tx,
+                wakeup: WakeOnDrop(wakeup),
             }),
         },
     )

@@ -193,6 +193,7 @@ pub(crate) struct ContainerMetrics {
     pub(crate) recoveries: Arc<Counter>,
     pub(crate) replayed_ops: Arc<Counter>,
     pub(crate) recovery_nanos: Arc<Histogram>,
+    pub(crate) checkpoints: Arc<Counter>,
     /// Writer-visible stall taxonomy (`segmentstore.stalls.*`).
     pub(crate) stalls: StallTracker,
 }
@@ -214,6 +215,7 @@ impl ContainerMetrics {
             recoveries: metrics.counter("segmentstore.container.recoveries"),
             replayed_ops: metrics.counter("segmentstore.container.replayed_ops"),
             recovery_nanos: metrics.histogram("segmentstore.container.recovery_nanos"),
+            checkpoints: metrics.counter("segmentstore.container.checkpoints"),
             stalls: StallTracker::new(metrics),
         }
     }

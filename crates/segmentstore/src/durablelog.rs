@@ -2,9 +2,10 @@
 //!
 //! Operations from *all* of a container's segments are multiplexed into a
 //! single WAL log. A builder thread aggregates operations into data frames
-//! (waiting the adaptive delay when the queue runs dry); a commit thread
-//! waits for WAL acknowledgements **in order**, applies the committed
-//! operations to the container state, and completes client promises.
+//! (each frame stays open for one adaptive delay, fixed when its first
+//! operation arrives); a commit thread waits for WAL acknowledgements **in
+//! order**, applies the committed operations to the container state, and
+//! completes client promises.
 //!
 //! The log also tracks, per committed frame, the highest append offset per
 //! segment — the bookkeeping that lets the storage writer truncate the WAL
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pravega_common::clock;
 use pravega_common::crashpoints;
 use pravega_common::future::Completer;
@@ -68,7 +69,23 @@ struct FrameRecord {
 struct CommitBatch {
     items: Vec<EnqueuedOp>,
     future: pravega_wal::log::AppendFuture,
-    enqueued_at: Instant,
+    /// When the frame's first operation arrived.
+    opened_at: Instant,
+    /// When the sealed frame was handed to `wal.append`.
+    submitted_at: Instant,
+}
+
+impl CommitBatch {
+    /// A batch whose frame never reached the WAL; the pipeline is already
+    /// marked failed, so the commit loop fails its operations unapplied.
+    fn unwritten(items: Vec<EnqueuedOp>, opened_at: Instant) -> Self {
+        Self {
+            items,
+            future: pravega_wal::log::AppendFuture::failed(pravega_wal::error::WalError::Closed),
+            opened_at,
+            submitted_at: opened_at,
+        }
+    }
 }
 
 struct LogShared {
@@ -80,6 +97,8 @@ struct LogShared {
     queued_ops: AtomicUsize,
     frame_size_hist: Arc<Histogram>,
     wal_latency_nanos: Arc<Histogram>,
+    wal_quorum_nanos: Arc<Histogram>,
+    frame_open_nanos: Arc<Histogram>,
     fill_pct_hist: Arc<Histogram>,
     batch_delay_nanos: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
@@ -139,6 +158,8 @@ impl DurableLog {
             queued_ops: AtomicUsize::new(0),
             frame_size_hist: metrics.histogram("segmentstore.durablelog.frame_bytes"),
             wal_latency_nanos: metrics.histogram("segmentstore.durablelog.wal_append_nanos"),
+            wal_quorum_nanos: metrics.histogram("segmentstore.durablelog.wal_quorum_nanos"),
+            frame_open_nanos: metrics.histogram("segmentstore.durablelog.frame_open_nanos"),
             fill_pct_hist: metrics.histogram("segmentstore.durablelog.frame_fill_pct"),
             batch_delay_nanos: metrics.histogram("segmentstore.durablelog.batch_delay_nanos"),
             queue_depth: metrics.gauge("segmentstore.durablelog.queued_ops"),
@@ -215,6 +236,12 @@ impl DurableLog {
     #[cfg(test)]
     pub fn pending_ops(&self) -> usize {
         self.shared.queued_ops.load(Ordering::Relaxed)
+    }
+
+    /// The smoothed WAL submit -> ack time the batch delay is computed from.
+    #[cfg(test)]
+    fn recent_latency(&self) -> Duration {
+        Duration::from_secs_f64(self.shared.recent_latency_secs.lock().value_or(0.0))
     }
 
     /// Histogram of committed frame sizes (bytes).
@@ -330,73 +357,54 @@ fn builder_loop(
     config: ContainerConfig,
 ) {
     let mut builder = DataFrameBuilder::new(config.max_frame_bytes);
-    loop {
+    let mut disconnected = false;
+    while !disconnected {
         let first = match op_rx.recv() {
             Ok(op) => op,
             Err(_) => break,
         };
+        let opened_at = clock::monotonic_now();
         let mut items = Vec::new();
         builder.push_op(first.seq, &first.op);
         items.push(first);
-        let enqueued_at = clock::monotonic_now();
-        let mut disconnected = false;
-        // A frame closes no later than `max_batch_delay` after its first
-        // operation: the adaptive delay only decides how long to wait when
-        // the queue runs dry, never extends the frame's total lifetime
-        // (otherwise a steady trickle of ops would keep a frame open until
-        // it reaches MaxFrameSize, unbounded in time).
-        let frame_deadline = enqueued_at + config.max_batch_delay;
-
-        loop {
-            if builder.is_full() {
-                break;
-            }
-            match op_rx.try_recv() {
+        // One deadline per frame (§4.1): the adaptive delay is fixed when the
+        // frame opens and counts from its first operation. Re-arming it per
+        // received op would let any trickle with gaps shorter than the delay
+        // hold the frame open until `max_batch_delay` (or, uncapped, until
+        // MaxFrameSize).
+        let latency =
+            Duration::from_secs_f64(shared.recent_latency_secs.lock().value_or(0.0).max(0.0));
+        let avg_size = shared
+            .avg_frame_size
+            .lock()
+            .value_or(config.max_frame_bytes as f64);
+        let adaptive = batch_delay(
+            latency,
+            avg_size,
+            config.max_frame_bytes as f64,
+            config.max_batch_delay,
+        );
+        shared.batch_delay_nanos.record(adaptive.as_nanos() as u64);
+        let deadline = opened_at + adaptive;
+        while !builder.is_full() {
+            // A zero timeout still hands over what is already queued, so a
+            // backlog fills the frame past its deadline without waiting.
+            let left = deadline.saturating_duration_since(clock::monotonic_now());
+            match op_rx.recv_timeout(left) {
                 Ok(op) => {
                     builder.push_op(op.seq, &op.op);
                     items.push(op);
                 }
-                Err(TryRecvError::Empty) => {
-                    // Queue ran dry: wait the adaptive delay of §4.1, bounded
-                    // by the frame deadline.
-                    let latency = Duration::from_secs_f64(
-                        shared.recent_latency_secs.lock().value_or(0.0).max(0.0),
-                    );
-                    let avg_size = shared
-                        .avg_frame_size
-                        .lock()
-                        .value_or(config.max_frame_bytes as f64);
-                    let adaptive = batch_delay(
-                        latency,
-                        avg_size,
-                        config.max_frame_bytes as f64,
-                        config.max_batch_delay,
-                    );
-                    let until_deadline =
-                        frame_deadline.saturating_duration_since(clock::monotonic_now());
-                    let delay = adaptive.min(until_deadline);
-                    if delay.is_zero() {
-                        break;
-                    }
-                    shared.batch_delay_nanos.record(adaptive.as_nanos() as u64);
-                    match op_rx.recv_timeout(delay) {
-                        Ok(op) => {
-                            builder.push_op(op.seq, &op.op);
-                            items.push(op);
-                        }
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            disconnected = true;
-                            break;
-                        }
-                    }
-                }
-                Err(TryRecvError::Disconnected) => {
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => {
                     disconnected = true;
                     break;
                 }
             }
         }
+        shared
+            .frame_open_nanos
+            .record(opened_at.elapsed().as_nanos() as u64);
 
         let frame = match builder.seal_frame() {
             Ok(Some(frame)) => frame,
@@ -404,15 +412,9 @@ fn builder_loop(
                 // A frame that won't seal (empty — can't happen, the loop
                 // pushed at least one op — or a corrupt builder buffer) must
                 // fail the pipeline, never reach the WAL: ack nothing and die
-                // exactly like the crash path above.
+                // exactly like the crash path below.
                 shared.failed.store(true, Ordering::SeqCst);
-                let _ = commit_tx.send(CommitBatch {
-                    items,
-                    future: pravega_wal::log::AppendFuture::failed(
-                        pravega_wal::error::WalError::Closed,
-                    ),
-                    enqueued_at,
-                });
+                let _ = commit_tx.send(CommitBatch::unwritten(items, opened_at));
                 break;
             }
         };
@@ -434,30 +436,23 @@ fn builder_loop(
             shared.failed.store(true, Ordering::SeqCst);
             // The commit loop sees `failed` and fails these completers
             // without applying anything.
-            let _ = commit_tx.send(CommitBatch {
-                items,
-                future: pravega_wal::log::AppendFuture::failed(
-                    pravega_wal::error::WalError::Closed,
-                ),
-                enqueued_at,
-            });
+            let _ = commit_tx.send(CommitBatch::unwritten(items, opened_at));
             break;
         }
+        let submitted_at = clock::monotonic_now();
         let future = shared.wal.append(frame);
         if commit_tx
             .send(CommitBatch {
                 items,
                 future,
-                enqueued_at,
+                opened_at,
+                submitted_at,
             })
             .is_err()
         {
             // The committer is gone: nothing downstream can resolve promises
             // any more, so the pipeline is dead.
             shared.failed.store(true, Ordering::SeqCst);
-            break;
-        }
-        if disconnected {
             break;
         }
     }
@@ -488,12 +483,19 @@ fn commit_loop(
         };
         match result {
             Ok(addr) => {
-                let latency = batch.enqueued_at.elapsed();
+                // `RecentLatency` in the delay formula is the WAL's own
+                // submit -> ack time. Measuring from frame open would fold
+                // the delay into the latency it is computed from, and the
+                // pair then ratchets up to `max_batch_delay` and stays there.
+                let quorum = batch.submitted_at.elapsed();
                 shared
                     .recent_latency_secs
                     .lock()
-                    .record(latency.as_secs_f64());
-                shared.wal_latency_nanos.record(latency.as_nanos() as u64);
+                    .record(quorum.as_secs_f64());
+                shared.wal_quorum_nanos.record(quorum.as_nanos() as u64);
+                shared
+                    .wal_latency_nanos
+                    .record(batch.opened_at.elapsed().as_nanos() as u64);
                 let mut append_ends: Vec<(String, u64)> = Vec::new();
                 let mut last_seq = 0u64;
                 let mut checkpoint_covers: Option<u64> = None;
@@ -553,7 +555,8 @@ mod tests {
     use bytes::Bytes;
     use pravega_common::future::promise;
     use pravega_common::id::WriterId;
-    use pravega_wal::log::InMemoryLog;
+    use pravega_wal::error::WalError;
+    use pravega_wal::log::{AppendFuture, InMemoryLog};
 
     #[derive(Debug)]
     struct RecordingSink {
@@ -577,6 +580,150 @@ mod tests {
         fn on_log_failure(&self, _error: &SegmentError) {
             self.failures.fetch_add(1, Ordering::SeqCst);
         }
+    }
+
+    /// A WAL that acks every append a fixed time after it was submitted.
+    #[derive(Debug)]
+    struct FixedAckLog {
+        inner: InMemoryLog,
+        acks: Option<Sender<(Instant, Completer<Result<u64, WalError>>, u64)>>,
+        acker: Option<JoinHandle<()>>,
+    }
+
+    const ACK_AFTER: Duration = Duration::from_millis(2);
+
+    impl FixedAckLog {
+        fn new() -> Self {
+            let (acks, due) = unbounded::<(Instant, Completer<Result<u64, WalError>>, u64)>();
+            let acker = std::thread::spawn(move || {
+                for (at, completer, entry) in due {
+                    std::thread::sleep(at.saturating_duration_since(Instant::now()));
+                    completer.complete(Ok(entry));
+                }
+            });
+            Self {
+                inner: InMemoryLog::new(),
+                acks: Some(acks),
+                acker: Some(acker),
+            }
+        }
+    }
+
+    impl Drop for FixedAckLog {
+        fn drop(&mut self) {
+            self.acks.take();
+            if let Some(acker) = self.acker.take() {
+                let _ = acker.join();
+            }
+        }
+    }
+
+    impl DurableDataLog for FixedAckLog {
+        fn append(&self, data: Bytes) -> AppendFuture {
+            let at = Instant::now() + ACK_AFTER;
+            let stored = match self.inner.append(data).wait() {
+                Ok(addr) => addr,
+                Err(e) => return AppendFuture::failed(e),
+            };
+            let (completer, ack) = promise();
+            if let Some(acks) = &self.acks {
+                let _ = acks.send((at, completer, stored.entry));
+            }
+            AppendFuture::pending(ack, stored.ledger_seq)
+        }
+        fn read_after(
+            &self,
+            from: Option<LogAddress>,
+        ) -> Result<Vec<(LogAddress, Bytes)>, WalError> {
+            self.inner.read_after(from)
+        }
+        fn truncate(&self, up_to: LogAddress) -> Result<(), WalError> {
+            self.inner.truncate(up_to)
+        }
+        fn epoch(&self) -> u64 {
+            self.inner.epoch()
+        }
+        fn is_fenced(&self) -> bool {
+            self.inner.is_fenced()
+        }
+    }
+
+    /// Enqueues `count` appends `gap` apart and waits for all of them.
+    fn trickle(log: &DurableLog, count: u64, gap: Duration) {
+        let promises: Vec<_> = (0..count)
+            .map(|seq| {
+                let (completer, pr) = promise();
+                log.enqueue(EnqueuedOp {
+                    seq,
+                    op: append_op(seq),
+                    completer: Some(completer),
+                })
+                .unwrap();
+                std::thread::sleep(gap);
+                pr
+            })
+            .collect();
+        for pr in promises {
+            pr.wait().unwrap().unwrap();
+        }
+    }
+
+    /// Regression: `RecentLatency` was measured from frame open, so it
+    /// contained the delay computed from it. With nothing to batch, every
+    /// frame waited out the previous latency and reported that wait plus the
+    /// WAL's 2 ms as the next one: +0.6 ms per frame until the cap.
+    #[test]
+    fn sparse_ops_do_not_ratchet_the_delay_up_to_the_cap() {
+        let log = DurableLog::start(
+            Arc::new(FixedAckLog::new()),
+            Arc::new(RecordingSink::default()),
+            ContainerConfig::default(),
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
+        trickle(&log, 100, Duration::from_millis(10));
+        let latency = log.recent_latency();
+        assert!(
+            latency >= ACK_AFTER / 2 && latency <= ACK_AFTER * 2,
+            "latency EWMA {latency:?} after 100 sparse ops on a WAL that acks in {ACK_AFTER:?}"
+        );
+        log.stop();
+    }
+
+    /// Regression: the delay was re-armed after every received op, so ops
+    /// arriving closer together than the delay held each frame open until
+    /// `max_batch_delay` — here 100 ops per frame instead of about 4.
+    #[test]
+    fn a_trickle_faster_than_the_delay_gets_one_delay_per_frame() {
+        let gap = Duration::from_micros(500);
+        let ops = 400u64;
+        let log = DurableLog::start(
+            Arc::new(FixedAckLog::new()),
+            Arc::new(RecordingSink::default()),
+            ContainerConfig {
+                max_batch_delay: Duration::from_millis(50),
+                ..ContainerConfig::default()
+            },
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
+        trickle(&log, ops, gap);
+        let adaptive = log.recent_latency();
+        assert!(
+            adaptive <= ACK_AFTER * 4,
+            "latency EWMA {adaptive:?} on a WAL that acks in {ACK_AFTER:?}"
+        );
+        // A frame open for `adaptive` sees at most `adaptive / gap` further
+        // ops (fewer, since the sender's sleeps overshoot); the mean leaves
+        // room for a builder that was descheduled and woke to a backlog.
+        let per_frame = ops as f64 / log.retained_frames() as f64;
+        let bound = adaptive.as_secs_f64() / gap.as_secs_f64() + 2.0;
+        assert!(
+            per_frame <= bound,
+            "{per_frame:.1} ops per frame with a {adaptive:?} delay and {gap:?} gaps \
+             (bound {bound:.1}; the cap alone would allow 100)"
+        );
+        log.stop();
     }
 
     fn append_op(seq: u64) -> Operation {

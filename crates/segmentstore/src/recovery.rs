@@ -192,6 +192,7 @@ impl ContainerInner {
         };
         let pr = self.processor.lock().sequence(self.log(), op)?;
         wait_done(pr)?;
+        self.metrics.checkpoints.inc();
         self.ops_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(())
     }

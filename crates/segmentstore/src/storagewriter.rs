@@ -176,15 +176,18 @@ fn run_flush_pass(
         }
     }
 
-    // Checkpoint + WAL truncation when useful. A quiesced container (no
-    // flush backlog) still checkpoints while ops are outstanding: a trailing
-    // op that moves no segment data — a reader-group position update, an
-    // attribute write — would otherwise never satisfy `worked` nor reach the
-    // ops interval, pinning its WAL frame (and the whole tail behind it)
-    // forever.
+    // Checkpoint + WAL truncation every `checkpoint_interval_ops` while the
+    // container is busy, and once when it goes idle: a pass that found
+    // nothing to move and leaves no backlog still checkpoints while ops are
+    // outstanding, so the tail of a burst — or a trailing op that moves no
+    // segment data, a reader-group position update, an attribute write —
+    // does not pin its WAL frame (and the whole tail behind it) forever. A
+    // pass that did move data waits for one of the two: checkpointing after
+    // every such pass costs one snapshot per `flush_interval` under any
+    // steady load, however light.
     let ops_since = inner.ops_since_checkpoint.load(Ordering::Relaxed);
-    let quiesced = inner.unflushed_bytes.load(Ordering::Relaxed) == 0;
-    let truncate_due = (worked || quiesced || ops_since >= inner.config.checkpoint_interval_ops)
+    let idle = !worked && inner.unflushed_bytes.load(Ordering::Relaxed) == 0;
+    let truncate_due = (idle || ops_since >= inner.config.checkpoint_interval_ops)
         && ops_since > 0
         && !inner.stopped.load(Ordering::SeqCst);
 

@@ -119,6 +119,10 @@ pub const METRICS_REGISTRY: LockRank = LockRank::new(900, "common.metrics.regist
 /// Text-slot instrument value; read by `snapshot()` while the registry lock
 /// is held, so it must rank above [`METRICS_REGISTRY`]. Writers take it alone.
 pub const METRICS_TEXT: LockRank = LockRank::new(910, "common.metrics.text");
+/// Latch of a `pravega_common::wire::Wakeup`; a leaf — notified from any
+/// thread (a writer holding its state lock, a transport's receive side) and
+/// nothing is acquired while holding it.
+pub const WIRE_WAKEUP: LockRank = LockRank::new(920, "common.wire.wakeup");
 /// Fault-plan injection log; a leaf — decorators append to it before
 /// delegating and never call into the wrapped backend while holding it.
 pub const FAULTS_PLAN: LockRank = LockRank::new(930, "faults.plan.log");

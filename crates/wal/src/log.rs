@@ -54,6 +54,13 @@ pub struct AppendFuture {
 }
 
 impl AppendFuture {
+    /// An append in ledger `ledger_seq` that resolves to its entry id when
+    /// `inner` does: what a [`DurableDataLog`] implemented outside this
+    /// crate returns from `append`.
+    pub fn pending(inner: Promise<Result<u64, WalError>>, ledger_seq: u64) -> Self {
+        Self { inner, ledger_seq }
+    }
+
     /// An already-failed append (used when a crash is injected before the
     /// record ever reaches the log).
     pub fn failed(error: WalError) -> Self {

@@ -762,6 +762,7 @@ fn analyze_body(
             }
             _ => {
                 // Blocking method primitives.
+                let mut condvar_wait = false;
                 if i > 0 && sig[i - 1].text == "." {
                     for (name, needs_empty, what) in BLOCKING_METHODS {
                         if t.text == name && sig.get(i + 1).is_some_and(|t| t.text == "(") {
@@ -769,6 +770,7 @@ fn analyze_body(
                             if !needs_empty || empty {
                                 summary.blocks_directly = true;
                                 let waited = if what == "condvar wait" {
+                                    condvar_wait = true;
                                     first_ident_in_args(sig, i + 1, end)
                                 } else {
                                     None
@@ -873,7 +875,12 @@ fn analyze_body(
                 // Generic calls: `name(` (method or free), excluding macros
                 // (`name!(…)` never lexes with `(` directly after the ident),
                 // keywords, and constructor wrappers.
+                // A timed condvar wait is fully accounted for above, like
+                // the untimed `wait`: recording it as a call too would
+                // resolve to `pravega_sync::Condvar::wait_for` and flag the
+                // very guard the wait releases.
                 if t.kind == TokenKind::Ident
+                    && !condvar_wait
                     && sig.get(i + 1).is_some_and(|t| t.text == "(")
                     && !matches!(
                         t.text,
@@ -1221,6 +1228,10 @@ mod tests {
                     let mut g = self.a.lock();
                     self.cv.wait(&mut g);
                 }
+                fn timed(&self) {
+                    let mut g = self.a.lock();
+                    self.cv.wait_for(&mut g, left);
+                }
                 fn bad(&self) {
                     let ga = self.a.lock();
                     let mut gb = self.b.lock();
@@ -1231,6 +1242,9 @@ mod tests {
         let a = analyze(src);
         let ok = a.fns.iter().find(|f| f.name == "ok").unwrap();
         assert!(ok.blocking_held.is_empty(), "{ok:?}");
+        let timed = a.fns.iter().find(|f| f.name == "timed").unwrap();
+        assert!(timed.blocking_held.is_empty(), "{timed:?}");
+        assert!(timed.calls_held.is_empty(), "{timed:?}");
         let bad = a.fns.iter().find(|f| f.name == "bad").unwrap();
         assert_eq!(bad.blocking_held.len(), 1, "{bad:?}");
         assert!(bad.blocking_held[0].held[0].contains("ga"), "{bad:?}");

@@ -48,7 +48,6 @@ fn chaos_cluster(
 ) -> PravegaCluster {
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     // Small flush batches and chunks so tiering issues many chunk-storage
     // operations — each one a fresh roll of the fault plan's dice.
     config.container.max_flush_bytes = 1024;
@@ -248,7 +247,6 @@ fn tcp_connection_drops_mid_append_preserve_exactly_once() {
     let seed = chaos_seed();
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     config.transport = TransportKind::Tcp;
     let cluster = PravegaCluster::start(config).unwrap();
     let s = stream("tcpdrop");

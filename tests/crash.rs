@@ -38,7 +38,6 @@ fn crash_seed() -> u64 {
 fn crash_cluster(crash_faults: Option<Arc<FaultPlan>>) -> PravegaCluster {
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     // Small flush batches and chunks so tiering crosses chunk boundaries —
     // each flush pass and chunk roll walks past a named crash point.
     config.container.max_flush_bytes = 1024;

@@ -15,7 +15,6 @@ use pravega_core as _;
 fn small_cluster() -> PravegaCluster {
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     PravegaCluster::start(config).unwrap()
 }
 

@@ -54,7 +54,6 @@ fn throttled_lts_engages_writer_throttling_and_drains() {
     };
     config.container.throttle_threshold_bytes = 64 * 1024;
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     let cluster = PravegaCluster::start(config).unwrap();
     let s = stream("throttled");
     cluster.create_scope("obs").unwrap();
@@ -140,7 +139,6 @@ fn stall_instruments_register_and_fire_under_forced_stalls() {
     };
     config.container.throttle_threshold_bytes = 32 * 1024;
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     config.container.max_flush_bytes = 16 * 1024;
     let cluster = PravegaCluster::start(config).unwrap();
     let s = stream("stalls");
@@ -216,7 +214,6 @@ fn frames_fill_up_under_saturating_load() {
     let mut config = ClusterConfig::default();
     config.container.max_frame_bytes = 32 * 1024;
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(5);
     let cluster = PravegaCluster::start(config).unwrap();
     let s = stream("saturated");
     cluster.create_scope("obs").unwrap();
@@ -253,7 +250,6 @@ fn frames_fill_up_under_saturating_load() {
 fn end_to_end_pass_activates_instruments_at_every_stage() {
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     let cluster = PravegaCluster::start(config).unwrap();
     let s = stream("e2e");
     cluster.create_scope("obs").unwrap();
@@ -279,6 +275,22 @@ fn end_to_end_pass_activates_instruments_at_every_stage() {
         }
     }
     cluster.wait_for_tiering(Duration::from_secs(10)).unwrap();
+    // The checkpoint that lets the WAL truncate is written by the first
+    // flush pass that finds nothing left to move.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while cluster
+        .metrics()
+        .snapshot()
+        .counter("segmentstore.container.checkpoints")
+        .unwrap_or(0)
+        == 0
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no metadata checkpoint after tiering drained"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let snap = cluster.metrics().snapshot();
     assert!(
@@ -305,6 +317,8 @@ fn end_to_end_pass_activates_instruments_at_every_stage() {
         "client.writer.rtt_nanos",
         "segmentstore.durablelog.frame_bytes",
         "segmentstore.durablelog.wal_append_nanos",
+        "segmentstore.durablelog.wal_quorum_nanos",
+        "segmentstore.durablelog.frame_open_nanos",
         "segmentstore.storagewriter.flush_pass_nanos",
         "lts.chunked.write_nanos",
         "wal.journal.group_commit_entries",
@@ -316,6 +330,7 @@ fn end_to_end_pass_activates_instruments_at_every_stage() {
     }
     for counter in [
         "segmentstore.storagewriter.flushed_bytes",
+        "segmentstore.container.checkpoints",
         "lts.chunked.write_bytes",
         "wal.journal.syncs",
     ] {
@@ -324,6 +339,14 @@ fn end_to_end_pass_activates_instruments_at_every_stage() {
             "counter {counter} recorded nothing\n{snap}"
         );
     }
+    // `wal_append` (frame opened -> ack) is `frame_open` (first op -> seal)
+    // plus `wal_quorum` (submit -> ack), frame by frame.
+    let mean = |name: &str| snap.histogram(name).map_or(0.0, |h| h.mean);
+    assert!(
+        mean("segmentstore.durablelog.wal_quorum_nanos")
+            <= mean("segmentstore.durablelog.wal_append_nanos"),
+        "the WAL's own latency exceeds the latency that contains it\n{snap}"
+    );
 
     // The snapshot serialises to well-formed JSON with every section present.
     let json = snap.to_json();
@@ -346,7 +369,6 @@ fn end_to_end_pass_activates_instruments_at_every_stage() {
 fn tail_read_waits_and_cache_hits_are_observable() {
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     let cluster = PravegaCluster::start(config).unwrap();
     let s = stream("tail");
     cluster.create_scope("obs").unwrap();
@@ -421,7 +443,6 @@ fn scrub_instruments_record_detection_and_repair() {
     // LTS side: tier, corrupt a stored chunk, scrub.
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     config.container.max_flush_bytes = 1024;
     config.max_chunk_bytes = 4096;
     let cluster = PravegaCluster::start(config).unwrap();

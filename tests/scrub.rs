@@ -85,7 +85,6 @@ fn every_injected_chunk_corruption_is_detected_in_one_scrub_pass() {
     let seed = scrub_seed();
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     config.container.max_flush_bytes = 1024;
     config.max_chunk_bytes = 4096;
     // A small cache with a low eviction watermark: flushed entries are

@@ -18,7 +18,6 @@ use pravega_core as _;
 fn cluster_with(transport: TransportKind) -> PravegaCluster {
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
-    config.container.max_batch_delay = Duration::from_millis(1);
     config.transport = transport;
     PravegaCluster::start(config).unwrap()
 }
