@@ -79,18 +79,29 @@ impl EventDeframer {
         self.buffer.extend_from_slice(data);
     }
 
-    /// Pops the next complete event payload, if one is buffered.
-    pub fn next_event(&mut self) -> Option<Bytes> {
-        if self.buffer.len() < 4 {
-            return None;
-        }
+    /// Payload length of the event at the front of the buffer, if the whole
+    /// of it has been fed.
+    fn front_event_len(&self) -> Option<usize> {
         let len_bytes = self.buffer.get(0..4)?;
         let len = u32::from_be_bytes(len_bytes.try_into().ok()?) as usize;
-        if self.buffer.len() < 4 + len {
-            return None;
-        }
+        (self.buffer.len() >= 4 + len).then_some(len)
+    }
+
+    /// Whether [`EventDeframer::next_event`] would return an event.
+    pub fn has_event(&self) -> bool {
+        self.front_event_len().is_some()
+    }
+
+    /// Pops the next complete event payload, if one is buffered.
+    pub fn next_event(&mut self) -> Option<Bytes> {
+        let len = self.front_event_len()?;
         self.buffer.advance(4);
         Some(self.buffer.split_to(len).freeze())
+    }
+
+    /// Drops everything buffered (the bytes were truncated away upstream).
+    pub fn clear(&mut self) {
+        self.buffer.clear();
     }
 
     /// Bytes consumed so far relative to everything fed minus what remains

@@ -96,20 +96,7 @@ pub fn get_string(buf: &mut Bytes, ctx: &'static str) -> Result<String, DecodeEr
     String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::new(ctx))
 }
 
-/// CRC-32 (Castagnoli polynomial, software implementation) used to protect
-/// WAL data frames against torn writes.
-pub fn crc32c(data: &[u8]) -> u32 {
-    const POLY: u32 = 0x82F6_3B78; // reflected Castagnoli
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
-    }
-    !crc
-}
+pub use crate::crc32c::crc32c;
 
 #[cfg(test)]
 mod tests {
@@ -156,21 +143,5 @@ mod tests {
         put_bytes(&mut buf, &[0xff, 0xfe]);
         let mut b = buf.freeze();
         assert!(get_string(&mut b, "t").is_err());
-    }
-
-    #[test]
-    fn crc32c_known_vectors() {
-        // RFC 3720 test vector: 32 bytes of zeros.
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        // "123456789"
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
-    }
-
-    #[test]
-    fn crc_detects_corruption() {
-        let a = crc32c(b"some frame payload");
-        let b = crc32c(b"some frame paylobd");
-        assert_ne!(a, b);
     }
 }

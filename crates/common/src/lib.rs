@@ -25,6 +25,7 @@
 pub mod buf;
 pub mod clock;
 pub mod crashpoints;
+mod crc32c;
 pub mod future;
 pub mod hashing;
 pub mod id;

@@ -197,6 +197,8 @@ struct LtsMetrics {
     write_bytes: Arc<Counter>,
     read_nanos: Arc<Histogram>,
     read_bytes: Arc<Counter>,
+    fetched_bytes: Arc<Counter>,
+    blocks_verified: Arc<Counter>,
     retries: Arc<Counter>,
 }
 
@@ -207,6 +209,8 @@ impl LtsMetrics {
             write_bytes: metrics.counter("lts.chunked.write_bytes"),
             read_nanos: metrics.histogram("lts.chunked.read_nanos"),
             read_bytes: metrics.counter("lts.chunked.read_bytes"),
+            fetched_bytes: metrics.counter("lts.chunked.fetched_bytes"),
+            blocks_verified: metrics.counter("lts.chunked.blocks_verified"),
             retries: metrics.counter("lts.chunked.retries"),
         }
     }
@@ -471,6 +475,34 @@ impl ChunkedSegmentStorage {
     /// [`LtsError::Truncated`] below the start offset; [`LtsError::BeyondEnd`]
     /// past the tail.
     pub fn read(&self, segment: &str, offset: u64, len: usize) -> Result<Bytes, LtsError> {
+        let mut out = self.read_blocks(segment, offset, len)?;
+        out.truncate(len);
+        self.metrics.read_bytes.add(out.len() as u64);
+        Ok(out)
+    }
+
+    /// Like [`ChunkedSegmentStorage::read`], but the result runs on to the
+    /// end of the last block the range touches. A block is fetched and
+    /// verified whole whichever part of it was asked for, so a caller reading
+    /// sequentially keeps the surplus instead of paying for that block again
+    /// on its next read.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChunkedSegmentStorage::read`].
+    pub fn read_to_block_end(
+        &self,
+        segment: &str,
+        offset: u64,
+        len: usize,
+    ) -> Result<Bytes, LtsError> {
+        let out = self.read_blocks(segment, offset, len)?;
+        self.metrics.read_bytes.add(out.len() as u64);
+        Ok(out)
+    }
+
+    /// [`Self::try_read`] under the retry policy, timed.
+    fn read_blocks(&self, segment: &str, offset: u64, len: usize) -> Result<Bytes, LtsError> {
         let start = clock::monotonic_now();
         let out = self.retry.run(
             |_, _| self.metrics.retries.inc(),
@@ -479,12 +511,13 @@ impl ChunkedSegmentStorage {
         self.metrics
             .read_nanos
             .record(start.elapsed().as_nanos() as u64);
-        self.metrics.read_bytes.add(out.len() as u64);
         Ok(out)
     }
 
-    /// One read attempt (reads are naturally idempotent). Every block the
-    /// read touches is checksum verified before any byte is returned.
+    /// One read attempt (reads are naturally idempotent): `[offset, offset +
+    /// len)` clamped to the segment, extended to the end of the last block it
+    /// touches. Every touched block is checksum verified before any byte is
+    /// returned.
     fn try_read(&self, segment: &str, offset: u64, len: usize) -> Result<Bytes, LtsError> {
         let (record, _) = self.load(segment)?;
         if offset < record.start_offset {
@@ -507,9 +540,7 @@ impl ChunkedSegmentStorage {
             }
             let within = cursor - chunk.start;
             let take = (chunk_end.min(end) - cursor) as usize;
-            let piece = self.read_verified(chunk, within, take)?;
-            out.put_slice(&piece);
-            cursor += piece.len() as u64;
+            cursor += self.read_verified(chunk, within, take, &mut out)?;
             if cursor >= end {
                 break;
             }
@@ -517,15 +548,18 @@ impl ChunkedSegmentStorage {
         Ok(out.freeze())
     }
 
-    /// Reads logical bytes `[within, within + take)` of one chunk, decoding
-    /// and verifying every block the range touches. Corruption quarantines
-    /// the chunk; a quarantined chunk fails fast without touching storage.
+    /// Appends to `out` the logical bytes of one chunk from `within` to the
+    /// end of the last block `[within, within + take)` touches, decoding and
+    /// verifying every touched block; returns how many bytes that was.
+    /// Corruption quarantines the chunk; a quarantined chunk fails fast
+    /// without touching storage.
     fn read_verified(
         &self,
         chunk: &ChunkRecord,
         within: u64,
         take: usize,
-    ) -> Result<Bytes, LtsError> {
+        out: &mut BytesMut,
+    ) -> Result<u64, LtsError> {
         if let Some(&offset) = self.quarantine.lock().get(&chunk.name) {
             return Err(LtsError::ChecksumMismatch {
                 chunk: chunk.name.clone(),
@@ -551,21 +585,24 @@ impl ChunkedSegmentStorage {
         let (Some(&(_, span_start, _)), Some(&(_, last_phys, (last_len, _)))) =
             (touched.first(), touched.last())
         else {
-            return Ok(Bytes::new());
+            return Ok(0);
         };
         let span_end = last_phys + format::BLOCK_OVERHEAD + last_len as u64;
         let raw = self
             .chunks
             .read(&chunk.name, span_start, (span_end - span_start) as usize)?;
-        let mut out = BytesMut::with_capacity(take);
+        self.metrics.fetched_bytes.add(raw.len() as u64);
+        let before = out.len();
+        // Room for the surplus too: the caller sized `out` for what was asked.
+        out.reserve(raw.len());
         for (block_logical, block_phys, info) in touched {
             let payload = format::decode_block(&raw, block_phys - span_start, info)
                 .map_err(|_| self.mark_corrupt(&chunk.name, block_phys))?;
+            self.metrics.blocks_verified.inc();
             let from = within.saturating_sub(block_logical) as usize;
-            let to = ((want_end - block_logical) as usize).min(payload.len());
-            out.put_slice(&payload[from..to]);
+            out.put_slice(&payload[from..]);
         }
-        Ok(out.freeze())
+        Ok((out.len() - before) as u64)
     }
 
     /// Quarantines `chunk` and returns the error to surface. Detection is

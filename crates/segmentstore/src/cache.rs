@@ -19,6 +19,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -194,6 +195,8 @@ pub struct BlockCache {
     queued: Vec<bool>,
     used_bytes: usize,
     entry_count: usize,
+    /// The cache's use clock: see [`BlockCache::touch`].
+    touches: AtomicU64,
 }
 
 impl BlockCache {
@@ -213,7 +216,16 @@ impl BlockCache {
             queued: vec![false; config.max_buffers as usize],
             used_bytes: 0,
             entry_count: 0,
+            touches: AtomicU64::new(0),
         }
+    }
+
+    /// The next stamp of the cache's use clock (larger = more recent). Every
+    /// read index that keeps its data here stamps its entries from it, so
+    /// "least recently used" is one order across all the segments that
+    /// compete for this cache, not one order per segment.
+    pub fn touch(&self) -> u64 {
+        self.touches.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Bytes of entry data currently stored.
@@ -390,6 +402,21 @@ impl BlockCache {
     ///
     /// [`CacheError::BadAddress`] for dead/invalid addresses.
     pub fn get(&self, addr: CacheAddress) -> Result<Bytes, CacheError> {
+        self.get_range(addr, 0, usize::MAX)
+    }
+
+    /// Reads up to `max_len` bytes of the entry at `addr`, starting `start`
+    /// bytes into it: only the blocks the range touches are copied out.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::BadAddress`] for dead/invalid addresses.
+    pub fn get_range(
+        &self,
+        addr: CacheAddress,
+        start: usize,
+        max_len: usize,
+    ) -> Result<Bytes, CacheError> {
         self.meta(addr).ok_or(CacheError::BadAddress)?;
         // Walk the chain backwards, then assemble forwards.
         let mut chain = Vec::new();
@@ -400,9 +427,21 @@ impl BlockCache {
             cur = meta.prev;
         }
         let total: usize = chain.iter().map(|(_, l)| l).sum();
-        let mut out = BytesMut::with_capacity(total);
+        let start = start.min(total);
+        let end = start.saturating_add(max_len).min(total);
+        let mut out = BytesMut::with_capacity(end - start);
+        let mut block_start = 0usize;
         for (a, len) in chain.into_iter().rev() {
-            out.put_slice(&self.block_slice(a)[..len]);
+            let block_end = block_start + len;
+            if block_end > start && block_start < end {
+                let from = start.saturating_sub(block_start);
+                let to = (end - block_start).min(len);
+                out.put_slice(&self.block_slice(a)[from..to]);
+            }
+            block_start = block_end;
+            if block_start >= end {
+                break;
+            }
         }
         Ok(out.freeze())
     }
@@ -492,6 +531,24 @@ mod tests {
         // it is still a live block inside the chain, so reading via it gives
         // the prefix. Deleting must use the entry address.
         assert_eq!(c.get(a1).unwrap().as_ref(), b"0123456789abcdef");
+    }
+
+    #[test]
+    fn get_range_copies_only_the_requested_bytes() {
+        let mut c = BlockCache::new(CacheConfig::small()); // 16-byte blocks
+        let data: Vec<u8> = (0..100u8).collect();
+        let addr = c.insert(&data).unwrap();
+        for (start, len) in [(0, 100), (0, 1), (15, 2), (16, 16), (37, 40), (99, 1)] {
+            assert_eq!(
+                c.get_range(addr, start, len).unwrap().as_ref(),
+                &data[start..start + len],
+                "start {start} len {len}"
+            );
+        }
+        // Ranges are clamped to the entry, never an error.
+        assert_eq!(c.get_range(addr, 90, 50).unwrap().as_ref(), &data[90..]);
+        assert_eq!(c.get_range(addr, 100, 5).unwrap().len(), 0);
+        assert_eq!(c.get_range(addr, 500, 5).unwrap().len(), 0);
     }
 
     #[test]

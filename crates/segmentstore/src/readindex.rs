@@ -25,8 +25,9 @@ enum Location {
 struct IndexEntry {
     length: u64,
     location: Location,
-    /// Generation for eviction decisions (larger = more recently touched).
-    generation: u64,
+    /// When the entry was last written or read, by the cache's use clock
+    /// ([`BlockCache::touch`]): one order across every index on that cache.
+    touched: u64,
 }
 
 /// Outcome of a read-index lookup.
@@ -42,7 +43,6 @@ pub enum IndexRead {
 #[derive(Debug, Default)]
 pub struct ReadIndex {
     entries: AvlTree<IndexEntry>,
-    generation: u64,
     /// Bytes resident (cache + heap).
     resident_bytes: u64,
     /// Bytes resident on the heap (fallback).
@@ -81,8 +81,6 @@ impl ReadIndex {
         if data.is_empty() {
             return;
         }
-        self.generation += 1;
-        let generation = self.generation;
         if let Some((key, entry)) = self.entries.last() {
             let end = key + entry.length;
             if end == offset && entry.length + (data.len() as u64) <= MAX_ENTRY_BYTES {
@@ -93,7 +91,7 @@ impl ReadIndex {
                             Ok(new_addr) => {
                                 entry.location = Location::Cache(new_addr);
                                 entry.length += data.len() as u64;
-                                entry.generation = generation;
+                                entry.touched = cache.touch();
                                 self.resident_bytes += data.len() as u64;
                                 return;
                             }
@@ -107,20 +105,23 @@ impl ReadIndex {
         self.insert_entry(cache, offset, data);
     }
 
-    /// Inserts bytes fetched from LTS (cache fill after a miss).
+    /// Inserts bytes fetched from LTS (cache fill after a miss). The fill
+    /// never overlaps a resident entry: one that covers `offset` keeps the
+    /// fill out altogether, one that starts further up cuts the fill short.
     pub fn insert_from_storage(&mut self, cache: &mut BlockCache, offset: u64, data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        // Avoid overlapping an existing entry: only insert when the range is
-        // clear (the common case: a miss below all resident entries).
-        if let Some((key, entry)) = self.entries.floor(offset + data.len() as u64 - 1) {
+        if let Some((key, entry)) = self.entries.floor(offset) {
             if key + entry.length > offset {
-                return; // overlap: keep the authoritative resident copy
+                return; // keep the authoritative resident copy
             }
         }
-        self.generation += 1;
-        self.insert_entry(cache, offset, data);
+        let gap = match self.entries.ceiling(offset) {
+            Some((key, _)) => ((key - offset) as usize).min(data.len()),
+            None => data.len(),
+        };
+        if gap == 0 {
+            return;
+        }
+        self.insert_entry(cache, offset, &data[..gap]);
     }
 
     fn insert_entry(&mut self, cache: &mut BlockCache, offset: u64, data: &[u8]) {
@@ -137,7 +138,7 @@ impl ReadIndex {
             IndexEntry {
                 length: data.len() as u64,
                 location,
-                generation: self.generation,
+                touched: cache.touch(),
             },
         );
     }
@@ -153,20 +154,16 @@ impl ReadIndex {
         if offset >= end {
             return IndexRead::Miss;
         }
-        let data = match &entry.location {
-            Location::Cache(addr) => match cache.get(*addr) {
+        let start = (offset - key) as usize;
+        let slice = match &entry.location {
+            Location::Cache(addr) => match cache.get_range(*addr, start, max_len) {
                 Ok(b) => b,
                 Err(_) => return IndexRead::Miss,
             },
-            Location::Heap(b) => b.clone(),
+            Location::Heap(b) => b.slice(start..start.saturating_add(max_len).min(b.len())),
         };
-        let start = (offset - key) as usize;
-        let stop = (start + max_len).min(data.len());
-        let slice = data.slice(start..stop);
-        self.generation += 1;
-        let generation = self.generation;
         if let Some(e) = self.entries.get_mut(key) {
-            e.generation = generation;
+            e.touched = cache.touch();
         }
         IndexRead::Hit(slice)
     }
@@ -180,38 +177,39 @@ impl ReadIndex {
             .filter(|(k, e)| k + e.length <= offset)
             .map(|(k, _)| k)
             .collect();
-        let mut freed = 0;
-        for key in doomed {
-            if let Some(entry) = self.entries.remove(key) {
-                freed += entry.length;
-                self.release(cache, &entry);
-            }
-        }
-        self.resident_bytes -= freed;
-        freed
+        self.remove_all(cache, doomed)
     }
 
-    /// Evicts the least-recently-touched entries ending at or below
-    /// `flushed_offset` until `target_bytes` have been freed. Entries above
-    /// the flushed offset are never evicted (their bytes exist nowhere else).
-    pub fn evict_lru(
+    /// `(last touch, length)` of every entry ending at or below
+    /// `flushed_offset`: the ones that may leave the cache. Entries above it
+    /// never may (their bytes exist nowhere else).
+    pub fn evictable(&self, flushed_offset: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.entries
+            .iter()
+            .filter(move |(k, e)| k + e.length <= flushed_offset)
+            .map(|(_, e)| (e.touched, e.length))
+    }
+
+    /// Drops every evictable entry (see [`ReadIndex::evictable`]) last
+    /// touched at or before `cutoff`. Returns bytes freed.
+    pub fn evict_through(
         &mut self,
         cache: &mut BlockCache,
         flushed_offset: u64,
-        target_bytes: u64,
+        cutoff: u64,
     ) -> u64 {
-        let mut candidates: Vec<(u64, u64, u64)> = self
+        let doomed: Vec<u64> = self
             .entries
             .iter()
-            .filter(|(k, e)| k + e.length <= flushed_offset)
-            .map(|(k, e)| (e.generation, k, e.length))
+            .filter(|(k, e)| k + e.length <= flushed_offset && e.touched <= cutoff)
+            .map(|(k, _)| k)
             .collect();
-        candidates.sort_unstable();
+        self.remove_all(cache, doomed)
+    }
+
+    fn remove_all(&mut self, cache: &mut BlockCache, keys: Vec<u64>) -> u64 {
         let mut freed = 0;
-        for (_, key, _) in candidates {
-            if freed >= target_bytes {
-                break;
-            }
+        for key in keys {
             if let Some(entry) = self.entries.remove(key) {
                 freed += entry.length;
                 self.release(cache, &entry);
@@ -236,6 +234,25 @@ impl ReadIndex {
     pub fn clear(&mut self, cache: &mut BlockCache) {
         self.evict_below(cache, u64::MAX);
     }
+}
+
+/// Which entries leave a cache shared by several indexes: given every
+/// index's [`ReadIndex::evictable`] entries, the touch stamp up to which they
+/// must be dropped ([`ReadIndex::evict_through`]) to free `target_bytes`,
+/// least recently used first and not one entry more. `None`: nothing to drop.
+pub fn lru_cutoff(evictable: impl Iterator<Item = (u64, u64)>, target_bytes: u64) -> Option<u64> {
+    let mut by_age: Vec<(u64, u64)> = evictable.collect();
+    by_age.sort_unstable();
+    let mut freed = 0u64;
+    let mut cutoff = None;
+    for (touched, length) in by_age {
+        if freed >= target_bytes {
+            break;
+        }
+        freed += length;
+        cutoff = Some(touched);
+    }
+    cutoff
 }
 
 #[cfg(test)]
@@ -309,6 +326,25 @@ mod tests {
     }
 
     #[test]
+    fn storage_fill_stops_at_the_next_resident_entry() {
+        let mut c = cache();
+        let mut idx = ReadIndex::new();
+        idx.append(&mut c, 10, b"fresh");
+        // A fill that starts in the gap below resident data keeps its part
+        // of the gap and leaves the resident bytes alone.
+        idx.insert_from_storage(&mut c, 4, b"456789STALE");
+        match idx.read(&c, 4, 100) {
+            IndexRead::Hit(b) => assert_eq!(b.as_ref(), b"456789"),
+            other => panic!("unexpected {other:?}"),
+        }
+        match idx.read(&c, 10, 5) {
+            IndexRead::Hit(b) => assert_eq!(b.as_ref(), b"fresh"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(idx.resident_bytes(), 11);
+    }
+
+    #[test]
     fn evict_below_frees_only_flushed_data() {
         let mut c = cache();
         let mut idx = ReadIndex::new();
@@ -327,6 +363,24 @@ mod tests {
         }
     }
 
+    /// What the container does when the cache is over its watermark.
+    fn evict_lru(
+        cache: &mut BlockCache,
+        indexes: &mut [(&mut ReadIndex, u64)],
+        target_bytes: u64,
+    ) -> u64 {
+        let evictable = indexes
+            .iter()
+            .flat_map(|(idx, flushed)| idx.evictable(*flushed));
+        let Some(cutoff) = lru_cutoff(evictable, target_bytes) else {
+            return 0;
+        };
+        indexes
+            .iter_mut()
+            .map(|(idx, flushed)| idx.evict_through(cache, *flushed, cutoff))
+            .sum()
+    }
+
     #[test]
     fn evict_lru_respects_flush_boundary() {
         let mut c = cache();
@@ -334,13 +388,20 @@ mod tests {
         idx.insert_from_storage(&mut c, 0, &[0u8; 100]);
         idx.insert_from_storage(&mut c, 200, &[1u8; 100]);
         idx.insert_from_storage(&mut c, 400, &[2u8; 100]);
+        // The unflushed entry is the least recently used of the three.
+        let _ = idx.read(&c, 0, 1);
+        let _ = idx.read(&c, 200, 1);
         // Only data below 300 is flushed; ask for everything.
-        let freed = idx.evict_lru(&mut c, 300, u64::MAX);
+        let freed = evict_lru(&mut c, &mut [(&mut idx, 300)], u64::MAX);
         assert_eq!(freed, 200);
+        assert_eq!(idx.resident_bytes(), 100);
+        assert_eq!(c.used_bytes(), 100);
         match idx.read(&c, 400, 10) {
             IndexRead::Hit(_) => {}
             other => panic!("unflushed data must stay resident, got {other:?}"),
         }
+        // Nothing evictable is left: there is no cutoff to evict through.
+        assert_eq!(lru_cutoff(idx.evictable(300), u64::MAX), None);
     }
 
     #[test]
@@ -351,14 +412,35 @@ mod tests {
         idx.insert_from_storage(&mut c, 200, &[1u8; 100]);
         // Touch the first entry to make it hot.
         let _ = idx.read(&c, 0, 1);
-        let freed = idx.evict_lru(&mut c, u64::MAX, 100);
-        assert_eq!(freed, 100);
+        let freed = evict_lru(&mut c, &mut [(&mut idx, u64::MAX)], 100);
+        assert_eq!(freed, 100, "eviction stops at the target");
         // The hot entry survived.
         match idx.read(&c, 0, 1) {
             IndexRead::Hit(_) => {}
             other => panic!("hot entry evicted: {other:?}"),
         }
         assert_eq!(idx.read(&c, 200, 1), IndexRead::Miss);
+    }
+
+    #[test]
+    fn evict_lru_orders_entries_across_the_indexes_of_one_cache() {
+        let mut c = cache();
+        let (mut a, mut b) = (ReadIndex::new(), ReadIndex::new());
+        // Filled a, b, a, b; then a's oldest entry is read again.
+        a.insert_from_storage(&mut c, 0, &[0u8; 100]);
+        b.insert_from_storage(&mut c, 0, &[1u8; 100]);
+        a.insert_from_storage(&mut c, 200, &[2u8; 100]);
+        b.insert_from_storage(&mut c, 200, &[3u8; 100]);
+        let _ = a.read(&c, 0, 1);
+        // 150 bytes take the two least recently used entries, whichever
+        // index they are in, and not a third.
+        let freed = evict_lru(&mut c, &mut [(&mut a, u64::MAX), (&mut b, u64::MAX)], 150);
+        assert_eq!(freed, 200);
+        assert_eq!(b.read(&c, 0, 1), IndexRead::Miss, "oldest");
+        assert_eq!(a.read(&c, 200, 1), IndexRead::Miss, "second oldest");
+        assert!(matches!(b.read(&c, 200, 1), IndexRead::Hit(_)));
+        assert!(matches!(a.read(&c, 0, 1), IndexRead::Hit(_)), "re-read");
+        assert_eq!((a.resident_bytes(), b.resident_bytes()), (100, 100));
     }
 
     #[test]

@@ -126,7 +126,10 @@ impl ContainerInner {
                     read_offset,
                     read_len,
                 } => {
-                    let data = match self.lts.read(segment, read_offset, read_len) {
+                    // Whole verified blocks come back: the reply keeps to
+                    // `read_len`, the rest of the last block goes into the
+                    // read index so the next read does not fetch it again.
+                    let fetched = match self.lts.read_to_block_end(segment, read_offset, read_len) {
                         Ok(data) => data,
                         Err(LtsError::ChecksumMismatch { chunk, .. }) => {
                             // A cold read hit a corrupt chunk (now
@@ -136,7 +139,7 @@ impl ContainerInner {
                             // data loss — never as garbage.
                             if self.repair_chunk_from_wal(segment, &chunk) {
                                 self.lts
-                                    .read(segment, read_offset, read_len)
+                                    .read_to_block_end(segment, read_offset, read_len)
                                     .map_err(SegmentError::Lts)?
                             } else {
                                 return Err(SegmentError::Lts(LtsError::DataLoss { chunk }));
@@ -144,7 +147,7 @@ impl ContainerInner {
                         }
                         Err(e) => return Err(SegmentError::Lts(e)),
                     };
-                    if data.is_empty() {
+                    if fetched.is_empty() {
                         return Err(SegmentError::Internal(
                             "LTS returned no data for a flushed range".into(),
                         ));
@@ -153,11 +156,11 @@ impl ContainerInner {
                     let core = &mut *guard;
                     if let Some(st) = core.segments.get_mut(segment) {
                         st.index
-                            .insert_from_storage(&mut core.cache, read_offset, &data);
+                            .insert_from_storage(&mut core.cache, read_offset, &fetched);
                     }
                     return Ok(ReadResult {
                         offset: read_offset,
-                        data,
+                        data: fetched.slice(..read_len.min(fetched.len())),
                         end_of_segment: false,
                         at_tail: false,
                     });

@@ -18,7 +18,7 @@ use crate::cache::BlockCache;
 use crate::container::ContainerInner;
 use crate::metadata::SegmentMetadata;
 use crate::operations::Operation;
-use crate::readindex::ReadIndex;
+use crate::readindex::{lru_cutoff, ReadIndex};
 use crate::tablesegment::TableState;
 
 pub(crate) struct SegmentState {
@@ -207,18 +207,20 @@ impl ContainerInner {
         // Eviction runs under the core lock on the apply path, so its cost
         // is a writer-visible stall — attribute it.
         let evict_start = clock::monotonic_now();
-        // Evict down to 80% of the high watermark.
+        // Evict down to 80% of the high watermark, least recently used first
+        // across every segment: a cold fill one reader is still working
+        // through must outlive what any reader has long since passed.
         let low =
             (core.cache.capacity_bytes() as f64 * self.config.cache_high_watermark * 0.8) as u64;
         let target = (core.cache.used_bytes() as u64).saturating_sub(low).max(1);
-        let mut freed = 0u64;
-        for st in core.segments.values_mut() {
-            if freed >= target {
-                break;
+        let evictable = core
+            .segments
+            .values()
+            .flat_map(|st| st.index.evictable(st.flushed));
+        if let Some(cutoff) = lru_cutoff(evictable, target) {
+            for st in core.segments.values_mut() {
+                st.index.evict_through(&mut core.cache, st.flushed, cutoff);
             }
-            freed += st
-                .index
-                .evict_lru(&mut core.cache, st.flushed, target - freed);
         }
         self.metrics
             .stalls

@@ -407,6 +407,89 @@ fn reads_are_served_from_lts_after_eviction() {
     c.stop();
 }
 
+#[test]
+fn a_full_cache_evicts_the_least_recently_read_segment_and_no_more_than_it_must() {
+    const KIB: usize = 1024;
+    // 120 KiB of cache; above 60 KiB used, eviction frees down to 48 KiB.
+    // Tiering runs by hand, so what is flushed (= evictable) is known.
+    let mut config = quick_config();
+    config.flush_interval = Duration::from_secs(3600);
+    config.cache = CacheConfig {
+        block_size: KIB,
+        blocks_per_buffer: 16,
+        max_buffers: 8,
+    };
+    config.cache_high_watermark = 0.5;
+    let registry = pravega_common::metrics::MetricsRegistry::new();
+    let recorder = RecordingChunkStorage::over(Arc::new(InMemoryChunkStorage::new()));
+    let c = SegmentContainer::start_with_metrics(
+        ContainerId(0),
+        Arc::new(InMemoryLog::new()),
+        lts_over(recorder.clone()),
+        Arc::new(SystemClock::new()),
+        config,
+        &registry,
+    )
+    .unwrap();
+    let w = WriterId::random();
+    let append = |segment: &str, fill: u8, len: usize, event: i64| {
+        c.append(segment, Bytes::from(vec![fill; len]), w, event, 1, None)
+            .wait()
+            .unwrap();
+    };
+    // `reread` is written first, so by age alone it would be the first to go.
+    for (segment, fill) in [("reread", 1u8), ("passed", 2), ("tail", 3)] {
+        c.create_segment(segment, false).unwrap();
+        if segment != "tail" {
+            append(segment, fill, 16 * KIB, 1);
+        }
+    }
+    for _ in 0..100 {
+        if c.unflushed_bytes() == 0 {
+            break;
+        }
+        c.flush_once().unwrap();
+    }
+    assert_eq!(c.unflushed_bytes(), 0, "tiering did not finish");
+    let hits = registry.counter("segmentstore.readindex.cache_hits");
+    let misses = registry.counter("segmentstore.readindex.cache_misses");
+    // Tiering read both segments out of the cache; read `reread` once more.
+    let r = c.read("reread", 0, 16 * KIB, None).unwrap();
+    assert_eq!(r.data.as_ref(), &[1u8; 16 * KIB][..]);
+    assert_eq!(misses.get(), 0);
+    recorder.reads.lock().unwrap().clear();
+
+    // Unflushed appends fill the cache: 32 KiB + 4 x 8 KiB = 64 KiB crosses
+    // the watermark, and 16 KiB must go to get back to 48.
+    for i in 0..4 {
+        append("tail", 3, 8 * KIB, i + 1);
+    }
+
+    // Exactly `passed` went: `reread` and the unflushed tail still hit, …
+    let before = (hits.get(), misses.get());
+    let r = c.read("reread", 0, 16 * KIB, None).unwrap();
+    assert_eq!(r.data.as_ref(), &[1u8; 16 * KIB][..]);
+    let r = c.read("tail", 0, 32 * KIB, None).unwrap();
+    assert_eq!(r.data.as_ref(), &[3u8; 32 * KIB][..]);
+    assert_eq!((hits.get(), misses.get()), (before.0 + 2, before.1));
+    assert!(recorder.reads.lock().unwrap().is_empty());
+    // … and `passed` comes from LTS, unharmed.
+    let mut got = Vec::new();
+    while got.len() < 16 * KIB {
+        let r = c.read("passed", got.len() as u64, 16 * KIB, None).unwrap();
+        assert!(!r.data.is_empty());
+        got.extend_from_slice(&r.data);
+    }
+    assert_eq!(got, vec![2u8; 16 * KIB]);
+    assert!(misses.get() > before.1, "`passed` was still in the cache");
+    let reads = recorder.reads.lock().unwrap();
+    assert!(reads
+        .iter()
+        .all(|(chunk, _, _)| chunk.starts_with("passed")));
+    drop(reads);
+    c.stop();
+}
+
 /// Chunk storage that refuses to materialize chunks of segments named
 /// `pin*`: the pinned segment never flushes, so the WAL retains every frame
 /// from its first append onward (truncation stops at the first unflushed
@@ -448,6 +531,268 @@ impl pravega_lts::ChunkStorage for PinningChunkStorage {
     fn truncate(&self, name: &str, len: u64) -> Result<(), pravega_lts::LtsError> {
         self.inner.truncate(name, len)
     }
+}
+
+/// Chunk storage that records every read it serves, so a test can count
+/// physical bytes fetched instead of timing them.
+#[derive(Debug)]
+struct RecordingChunkStorage {
+    inner: Arc<dyn pravega_lts::ChunkStorage>,
+    reads: std::sync::Mutex<Vec<(String, u64, usize)>>,
+}
+
+impl RecordingChunkStorage {
+    fn over(inner: Arc<dyn pravega_lts::ChunkStorage>) -> Arc<Self> {
+        Arc::new(Self {
+            inner,
+            reads: std::sync::Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Asserts no physical byte was read twice; returns the bytes read.
+    fn assert_each_byte_read_at_most_once(&self) -> u64 {
+        let mut reads = self.reads.lock().unwrap().clone();
+        reads.sort();
+        for pair in reads.windows(2) {
+            let ((chunk, at, len), (next_chunk, next_at, _)) = (&pair[0], &pair[1]);
+            assert!(
+                chunk != next_chunk || at + *len as u64 <= *next_at,
+                "{chunk}: bytes at {next_at} fetched again after a read of {len} at {at}"
+            );
+        }
+        reads.iter().map(|(_, _, len)| *len as u64).sum()
+    }
+}
+
+impl pravega_lts::ChunkStorage for RecordingChunkStorage {
+    fn create(&self, name: &str) -> Result<(), pravega_lts::LtsError> {
+        self.inner.create(name)
+    }
+    fn write(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), pravega_lts::LtsError> {
+        self.inner.write(name, offset, data)
+    }
+    fn read(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, pravega_lts::LtsError> {
+        let data = self.inner.read(name, offset, len)?;
+        self.reads
+            .lock()
+            .unwrap()
+            .push((name.to_string(), offset, data.len()));
+        Ok(data)
+    }
+    fn length(&self, name: &str) -> Result<u64, pravega_lts::LtsError> {
+        self.inner.length(name)
+    }
+    fn seal(&self, name: &str) -> Result<(), pravega_lts::LtsError> {
+        self.inner.seal(name)
+    }
+    fn delete(&self, name: &str) -> Result<(), pravega_lts::LtsError> {
+        self.inner.delete(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> Result<(), pravega_lts::LtsError> {
+        self.inner.truncate(name, len)
+    }
+}
+
+/// A container whose segment `seg` holds `expected`, tiered in blocks of
+/// `block_bytes` and read by nobody yet: the container was restarted from
+/// its checkpoint, so its cache is empty and every read goes to LTS.
+struct ColdSegment {
+    container: SegmentContainer,
+    expected: Vec<u8>,
+    mem: Arc<InMemoryChunkStorage>,
+    recorder: Arc<RecordingChunkStorage>,
+    registry: pravega_common::metrics::MetricsRegistry,
+}
+
+/// With `keep_wal`, a pinned segment that never flushes holds the WAL back
+/// from truncating, so tiered data keeps its repair source.
+fn cold_segment(block_bytes: usize, total_bytes: usize, keep_wal: bool) -> ColdSegment {
+    let mem = Arc::new(InMemoryChunkStorage::new());
+    let recorder = RecordingChunkStorage::over(if keep_wal {
+        Arc::new(PinningChunkStorage { inner: mem.clone() })
+    } else {
+        mem.clone()
+    });
+    let registry = pravega_common::metrics::MetricsRegistry::new();
+    let lts = ChunkedSegmentStorage::new(
+        recorder.clone(),
+        Arc::new(InMemoryMetadataStore::new()),
+        ChunkedStorageConfig {
+            max_chunk_bytes: 2 * 1024 * 1024,
+        },
+    )
+    .with_metrics(&registry);
+    // The test flushes by hand, so every block but a chunk's last is exactly
+    // `block_bytes` long.
+    let config = ContainerConfig {
+        max_batch_delay: Duration::from_millis(1),
+        flush_interval: Duration::from_secs(3600),
+        max_flush_bytes: block_bytes,
+        ..ContainerConfig::default()
+    };
+    let wal: Arc<dyn DurableDataLog> = Arc::new(InMemoryLog::new());
+    let start = |wal: Arc<dyn DurableDataLog>| {
+        SegmentContainer::start_with_metrics(
+            ContainerId(0),
+            wal,
+            lts.clone(),
+            Arc::new(SystemClock::new()),
+            config.clone(),
+            &registry,
+        )
+        .unwrap()
+    };
+    let c = start(wal.clone());
+    let w = WriterId::random();
+    let mut pinned = 0;
+    if keep_wal {
+        c.create_segment("pin", false).unwrap();
+        c.append("pin", Bytes::from(vec![0xAA; 10]), w, 0, 1, None)
+            .wait()
+            .unwrap();
+        pinned = 10;
+    }
+    c.create_segment("seg", false).unwrap();
+    let expected: Vec<u8> = (0..total_bytes).map(|i| (i % 251) as u8).collect();
+    for (i, piece) in expected.chunks(32 * 1024).enumerate() {
+        c.append(
+            "seg",
+            Bytes::copy_from_slice(piece),
+            w,
+            i as i64 + 1,
+            1,
+            None,
+        )
+        .wait()
+        .unwrap();
+    }
+    for _ in 0..1000 {
+        if c.unflushed_bytes() == pinned {
+            break;
+        }
+        // The pinned segment fails every pass; the others still flush.
+        let _ = c.flush_once();
+    }
+    assert_eq!(c.unflushed_bytes(), pinned, "tiering did not finish");
+    if keep_wal {
+        c.checkpoint().unwrap();
+    } else {
+        // An idle pass checkpoints and truncates the WAL below it.
+        c.flush_once().unwrap();
+    }
+    c.stop();
+    let container = start(wal);
+    recorder.reads.lock().unwrap().clear();
+    ColdSegment {
+        container,
+        expected,
+        mem,
+        recorder,
+        registry,
+    }
+}
+
+#[test]
+fn cold_sequential_read_fetches_every_lts_byte_once() {
+    const KIB: usize = 1024;
+    for (block, request) in [
+        (1024 * KIB, 64 * KIB),
+        (1024 * KIB, 256 * KIB),
+        (90 * KIB, 256 * KIB),
+    ] {
+        let cold = cold_segment(block, 3 * 1024 * KIB + 300 * KIB, false);
+        let c = &cold.container;
+        let mut got = Vec::new();
+        while got.len() < cold.expected.len() {
+            let r = c.read("seg", got.len() as u64, request, None).unwrap();
+            assert!(!r.data.is_empty(), "empty read at {}", got.len());
+            assert!(
+                r.data.len() <= request,
+                "{} bytes answer a read of at most {request}",
+                r.data.len()
+            );
+            got.extend_from_slice(&r.data);
+        }
+        assert_eq!(got, cold.expected, "block {block} request {request}");
+        let fetched = cold.recorder.assert_each_byte_read_at_most_once();
+        let physical: u64 = cold
+            .mem
+            .chunk_names()
+            .iter()
+            .map(|name| pravega_lts::ChunkStorage::length(&*cold.mem, name).unwrap())
+            .sum();
+        assert!(
+            fetched <= physical,
+            "{fetched} fetched of {physical} stored"
+        );
+        // The same, as the registry tells it: physical bytes fetched per
+        // logical byte LTS handed up.
+        let snap = cold.registry.snapshot();
+        let counter = |name: &str| snap.counter(name).unwrap_or(0) as f64;
+        assert_eq!(counter("lts.chunked.fetched_bytes") as u64, fetched);
+        assert_eq!(
+            counter("lts.chunked.read_bytes") as usize,
+            cold.expected.len()
+        );
+        let ratio = counter("lts.chunked.fetched_bytes") / counter("lts.chunked.read_bytes");
+        assert!(ratio <= 1.1, "fetched {ratio:.3} bytes per byte returned");
+        assert!(counter("lts.chunked.blocks_verified") >= (cold.expected.len() / block) as f64);
+        c.stop();
+    }
+}
+
+#[test]
+fn corrupt_block_in_a_fetched_span_leaves_nothing_of_the_span_in_the_cache() {
+    const KIB: usize = 1024;
+    let (block, request) = (90 * KIB, 256 * KIB);
+    // The rot sits in the second of the three blocks a read at 0 touches.
+    let rot_at = (8 + block + 4 + 10) as u64;
+
+    // No repair source: the read fails typed, again and again, and never
+    // from the cache — not even the span's first block, which verified.
+    let cold = cold_segment(block, 600 * KIB, false);
+    let chunk = cold.mem.chunk_names()[0].clone();
+    assert!(cold.mem.flip_bit(&chunk, rot_at, 0x10));
+    // (Tiering read the cache too; count from here.)
+    let hits = cold.registry.counter("segmentstore.readindex.cache_hits");
+    let misses = cold.registry.counter("segmentstore.readindex.cache_misses");
+    let (hits_before, misses_before) = (hits.get(), misses.get());
+    for _ in 0..2 {
+        match cold.container.read("seg", 0, request, None) {
+            Err(SegmentError::Lts(pravega_lts::LtsError::DataLoss { .. })) => {}
+            other => panic!("expected typed data loss, got {other:?}"),
+        }
+    }
+    assert_eq!(hits.get(), hits_before);
+    assert_eq!(misses.get(), misses_before + 2);
+    assert_eq!(cold.container.lts_storage().quarantined_chunks().len(), 1);
+    cold.container.stop();
+
+    // With the WAL retained the chunk is rebuilt, the fetch retried, and the
+    // whole segment reads back right, surplus and all.
+    let cold = cold_segment(block, 600 * KIB, true);
+    let chunk = cold
+        .mem
+        .chunk_names()
+        .into_iter()
+        .find(|name| name.starts_with("seg"))
+        .unwrap();
+    assert!(cold.mem.flip_bit(&chunk, rot_at, 0x10));
+    let mut got = Vec::new();
+    while got.len() < cold.expected.len() {
+        let r = cold
+            .container
+            .read("seg", got.len() as u64, request, None)
+            .unwrap();
+        assert!(!r.data.is_empty() && r.data.len() <= request);
+        got.extend_from_slice(&r.data);
+    }
+    assert_eq!(got, cold.expected);
+    assert!(cold.container.lts_storage().quarantined_chunks().is_empty());
+    cold.container.stop();
 }
 
 #[test]

@@ -247,6 +247,7 @@ pub struct SoakSummary {
     pub p999_ms: f64,
     pub dispersion: f64,
     pub measured_seconds: f64,
+    pub p90_second_p999_ms: f64,
     pub typical_dispersion: f64,
     pub worst_dispersion: f64,
     pub spike_seconds: f64,
@@ -294,6 +295,7 @@ pub fn parse_soak(text: &str) -> Result<SoakSummary, String> {
         p999_ms: num("p999_ms")?,
         dispersion: num("dispersion")?,
         measured_seconds: num("measured_seconds")?,
+        p90_second_p999_ms: num("p90_second_p999_ms")?,
         typical_dispersion: num("typical_dispersion")?,
         worst_dispersion: num("worst_dispersion")?,
         spike_seconds: num("spike_seconds")?,
@@ -331,6 +333,12 @@ pub const SOAK_NOISE_FLOOR_DISPERSION: f64 = 25.0;
 /// oscillation parks the p90 second at the threshold drain time — hundreds
 /// of ms — which `typical_dispersion` captures and noise cannot reach.
 ///
+/// The ratio's denominator is floored at the committed baseline's p50: a
+/// change that makes the median append faster must not turn an unchanged
+/// tail into a failure (the same 20 ms second reads as 8 over a 2.4 ms
+/// median and as 40 over 0.5 ms). Regenerating the baseline moves the floor
+/// to the new median.
+///
 /// Bounds:
 /// - the fresh timeline must exist, be non-empty, and carry events;
 /// - every latency spike must be attributed to a stall class;
@@ -354,13 +362,18 @@ pub fn run_soak(baseline_text: &str, fresh_text: &str, tolerance: f64, max_dispe
             return 1;
         }
     };
+    let base = parse_soak(baseline_text);
+    let typical = match &base {
+        Ok(base) if base.p50_ms > fresh.p50_ms => fresh.p90_second_p999_ms / base.p50_ms,
+        _ => fresh.typical_dispersion,
+    };
     println!(
-        "soak-gate: events={} p50={}ms p999={}ms typical={} worst={} spikes={}/{} unattributed={} \
+        "soak-gate: events={} p50={}ms p999={}ms typical={:.2} worst={} spikes={}/{} unattributed={} \
          timeline_rows={}",
         fresh.events,
         fresh.p50_ms,
         fresh.p999_ms,
-        fresh.typical_dispersion,
+        typical,
         fresh.worst_dispersion,
         fresh.spike_seconds,
         fresh.measured_seconds,
@@ -380,10 +393,9 @@ pub fn run_soak(baseline_text: &str, fresh_text: &str, tolerance: f64, max_dispe
             fresh.unattributed_spike_seconds
         ));
     }
-    if fresh.typical_dispersion > max_dispersion {
+    if typical > max_dispersion {
         failures.push(format!(
-            "typical (p90-second p999 / p50) dispersion {} exceeds the bound {max_dispersion}",
-            fresh.typical_dispersion
+            "typical (p90-second p999 / p50) dispersion {typical:.2} exceeds the bound {max_dispersion}"
         ));
     }
     if fresh.p50_ms > MAX_ON_SCHEDULE_P50_MS {
@@ -393,15 +405,15 @@ pub fn run_soak(baseline_text: &str, fresh_text: &str, tolerance: f64, max_dispe
             fresh.p50_ms
         ));
     }
-    match parse_soak(baseline_text) {
+    match base {
         Ok(base) => {
             let allowed =
                 (base.typical_dispersion * (1.0 + tolerance)).max(SOAK_NOISE_FLOOR_DISPERSION);
-            if fresh.typical_dispersion > allowed {
+            if typical > allowed {
                 failures.push(format!(
-                    "typical dispersion regressed: {} -> {} (allowed {:.2} at +{:.0}% tolerance)",
+                    "typical dispersion regressed: {} -> {:.2} (allowed {:.2} at +{:.0}% tolerance)",
                     base.typical_dispersion,
-                    fresh.typical_dispersion,
+                    typical,
                     allowed,
                     tolerance * 100.0
                 ));
@@ -586,6 +598,29 @@ mod tests {
         assert_eq!(run_soak(SOAK_SAMPLE, &fresh, 0.5, 30.0), 1);
         // The same run measured against a comparable baseline passes.
         assert_eq!(run_soak(&fresh, &fresh, 0.5, 30.0), 0);
+    }
+
+    #[test]
+    fn soak_faster_median_does_not_turn_the_same_tail_into_a_failure() {
+        // The p90 second's p999 stays at 9 ms while the median falls from
+        // 1.5 to 0.25 ms: 36 by the run's own median, 6 by the baseline's.
+        let fresh = SOAK_SAMPLE
+            .replace("\"p50_ms\": 1.500,", "\"p50_ms\": 0.250,")
+            .replace(
+                "\"typical_dispersion\": 6.00,",
+                "\"typical_dispersion\": 36.00,",
+            );
+        assert_eq!(run_soak(SOAK_SAMPLE, &fresh, 0.5, 30.0), 0);
+        // Against a baseline as fast as itself the floor does not apply.
+        assert_eq!(run_soak(&fresh, &fresh, 0.5, 30.0), 1);
+        // A slower median is never flattered: the run's own ratio stands.
+        let slow = SOAK_SAMPLE
+            .replace("\"p50_ms\": 1.500,", "\"p50_ms\": 3.000,")
+            .replace(
+                "\"typical_dispersion\": 6.00,",
+                "\"typical_dispersion\": 40.00,",
+            );
+        assert_eq!(run_soak(SOAK_SAMPLE, &slow, 0.5, 30.0), 1);
     }
 
     #[test]

@@ -433,6 +433,74 @@ fn tail_read_waits_and_cache_hits_are_observable() {
     cluster.shutdown();
 }
 
+/// A catch-up read served from LTS is visible at both ends: the chunked
+/// layer counts the physical bytes it fetched and the blocks it verified
+/// beside the logical bytes it returned, and the reader records how long
+/// `read_next` sat with nothing buffered, waiting for a read in flight.
+#[test]
+fn cold_read_counts_fetched_bytes_verified_blocks_and_reader_waits() {
+    let mut config = ClusterConfig::default();
+    config.container.flush_interval = Duration::from_millis(5);
+    // A 2 MiB cache under a 6 MiB stream: by the time the last event is in,
+    // the head of the segment has been tiered and evicted.
+    config.container.cache.max_buffers = 1;
+    config.lts = LtsKind::Throttled(ThrottleModel {
+        bandwidth_bytes_per_sec: 256 * 1024 * 1024,
+        per_op_latency: Duration::from_millis(2),
+    });
+    let cluster = PravegaCluster::start(config).unwrap();
+    let s = stream("cold");
+    cluster.create_scope("obs").unwrap();
+    cluster
+        .create_stream(&s, StreamConfiguration::new(ScalingPolicy::fixed(1)))
+        .unwrap();
+    let mut writer = cluster.create_writer(s.clone(), BytesSerializer, WriterConfig::default());
+    let payload = Bytes::from(vec![0x5A; 1024]);
+    let events = 6 * 1024;
+    for i in 0..events {
+        writer.write_raw(&format!("key-{}", i % 7), payload.clone());
+    }
+    writer.flush().unwrap();
+    drop(writer);
+    cluster.wait_for_tiering(Duration::from_secs(30)).unwrap();
+    let before = cluster.metrics().snapshot();
+
+    let group = cluster
+        .create_reader_group("obs", "g-cold", vec![s])
+        .unwrap();
+    let mut reader = cluster.create_reader(&group, "r1", BytesSerializer);
+    for read in 0..events {
+        assert!(
+            reader.read_next(Duration::from_secs(10)).unwrap().is_some(),
+            "timed out after {read} events"
+        );
+    }
+
+    let snap = cluster.metrics().snapshot();
+    let gained = |name: &str| snap.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    let returned = gained("lts.chunked.read_bytes");
+    let fetched = gained("lts.chunked.fetched_bytes");
+    let blocks = gained("lts.chunked.blocks_verified");
+    assert!(
+        returned >= 2 * 1024 * 1024 && blocks > 0,
+        "the head of the stream did not come from LTS\n{snap}"
+    );
+    // Framing is 8 bytes a block; anything much above that is a block
+    // fetched more than once.
+    assert!(
+        fetched >= returned + 8 * blocks && fetched as f64 <= returned as f64 * 1.1,
+        "{fetched} physical bytes fetched for {returned} returned\n{snap}"
+    );
+    let waits = snap
+        .histogram("client.reader.fetch_wait_nanos")
+        .expect("the reader registers its wait histogram");
+    assert!(
+        waits.count > 0 && waits.sum >= 2_000_000,
+        "a read that costs the LTS 2 ms was waited for\n{snap}"
+    );
+    cluster.shutdown();
+}
+
 /// The integrity instruments (DESIGN.md §13): scrubbing records scan and
 /// detection counts under `lts.scrub.*`, and a corrupt bookie replica bumps
 /// `wal.bookie.entry_corrupt`. Two clusters because the two injection
