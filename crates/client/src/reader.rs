@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use pravega_common::clock;
 use pravega_common::id::ScopedSegment;
 use pravega_common::metrics::{Counter, Histogram, MetricsRegistry};
@@ -17,11 +16,10 @@ use crate::serializer::{EventDeframer, Serializer};
 
 /// How often a reader syncs with the group (acquire/release/rebalance).
 const ACQUIRE_INTERVAL: Duration = Duration::from_millis(200);
+/// How often a reader that owns no segment asks the group again.
+const UNASSIGNED_RESYNC: Duration = Duration::from_millis(1);
 /// Read request size.
 const READ_CHUNK: u32 = 256 * 1024;
-/// How long a segment that answered "nothing new" is left alone before it is
-/// asked again.
-const TAIL_POLL: Duration = Duration::from_millis(1);
 
 /// An event delivered by [`EventStreamReader::read_next`], with its position.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,11 +37,14 @@ fn disconnected(e: impl std::fmt::Display) -> ClientError {
 }
 
 /// Reads one segment front to back over its own connection with exactly one
-/// `ReadSegment` in flight: the moment a reply that carried data is taken,
-/// the read for the bytes after it is sent, so the store fetches the next
-/// range while the caller works through this one. A reply that brought
-/// nothing (tail of an open segment), ended the segment, or was an error
-/// leaves nothing in flight; the caller decides when to ask again.
+/// `ReadSegment` in flight from the moment it opens until the segment ends.
+/// Every read asks the store to wait for data: at the tail the store parks
+/// it until the segment's next append, seal or delete, and answers empty
+/// only when its wait bound passes. The moment a reply that did not end the
+/// segment is taken, the read for the bytes after it is sent — so the store
+/// fetches the next range while the caller works through this one, and a
+/// caught-up segment waits at the store, not on a client timer. A reply that
+/// ended the segment or was an error leaves nothing in flight.
 struct SegmentFetcher {
     segment: ScopedSegment,
     connection: Connection,
@@ -56,21 +57,25 @@ struct SegmentFetcher {
 }
 
 impl SegmentFetcher {
-    fn new(connection: Connection, segment: ScopedSegment, offset: u64) -> Self {
-        Self {
+    /// A fetcher at `offset`, with its first read sent.
+    fn open(
+        connection: Connection,
+        segment: ScopedSegment,
+        offset: u64,
+    ) -> Result<Self, ClientError> {
+        let mut fetcher = Self {
             segment,
             connection,
             offset,
             next_id: 1,
             in_flight: None,
-        }
+        };
+        fetcher.request()?;
+        Ok(fetcher)
     }
 
-    /// Sends the read at `offset` unless one is in flight already.
+    /// Sends the read at `offset`; it is the read in flight from now on.
     fn request(&mut self) -> Result<(), ClientError> {
-        if self.in_flight.is_some() {
-            return Ok(());
-        }
         let request_id = self.next_id;
         self.next_id += 1;
         self.connection
@@ -80,7 +85,7 @@ impl SegmentFetcher {
                     segment: self.segment.clone(),
                     offset: self.offset,
                     max_bytes: READ_CHUNK,
-                    wait_for_data: false,
+                    wait_for_data: true,
                 },
             })
             .map_err(disconnected)?;
@@ -88,10 +93,10 @@ impl SegmentFetcher {
         Ok(())
     }
 
-    /// Abandons whatever is in flight and continues from `offset`.
-    fn restart_at(&mut self, offset: u64) {
-        self.in_flight = None;
+    /// Abandons whatever is in flight and reads on from `offset`.
+    fn restart_at(&mut self, offset: u64) -> Result<(), ClientError> {
         self.offset = offset;
+        self.request()
     }
 
     /// The reply to the read in flight, if it has arrived.
@@ -107,18 +112,6 @@ impl SegmentFetcher {
         Ok(None)
     }
 
-    /// Blocks for the reply to the read in flight (sending it first if none
-    /// is).
-    fn wait(&mut self) -> Result<Reply, ClientError> {
-        self.request()?;
-        loop {
-            let envelope = self.connection.recv().map_err(disconnected)?;
-            if let Some(reply) = self.accept(envelope)? {
-                return Ok(reply);
-            }
-        }
-    }
-
     fn accept(&mut self, envelope: ReplyEnvelope) -> Result<Option<Reply>, ClientError> {
         if self.in_flight != Some(envelope.request_id) {
             return Ok(None);
@@ -131,7 +124,7 @@ impl SegmentFetcher {
         } = &envelope.reply
         {
             self.offset += data.len() as u64;
-            if !data.is_empty() && !end_of_segment {
+            if !end_of_segment {
                 self.request()?;
             }
         }
@@ -145,8 +138,6 @@ struct AssignedSegment {
     consumed_offset: u64,
     deframer: EventDeframer,
     end_seen: bool,
-    /// Earliest moment the next read may be sent when none is in flight.
-    poll_at: Instant,
 }
 
 impl std::fmt::Debug for AssignedSegment {
@@ -261,11 +252,10 @@ impl<T, S: Serializer<T>> EventStreamReader<T, S> {
             let connection = self.group.factory().connect(&endpoint)?;
             connection.wake_on_reply(self.wakeup.clone());
             self.assigned.push(AssignedSegment {
-                fetcher: SegmentFetcher::new(connection, segment, offset),
+                fetcher: SegmentFetcher::open(connection, segment, offset)?,
                 consumed_offset: offset,
                 deframer: EventDeframer::new(),
                 end_seen: false,
-                poll_at: clock::monotonic_now(),
             });
         }
         self.last_acquire = Some(clock::monotonic_now());
@@ -293,15 +283,10 @@ impl<T, S: Serializer<T>> EventStreamReader<T, S> {
             // Round-robin over the segments: take the reply of one that has
             // run dry (which sends its next read), then serve what it holds.
             let mut completed: Vec<usize> = Vec::new();
-            let mut wake_at = deadline;
             for i in 0..self.assigned.len() {
                 let idx = (self.rr_cursor + i) % self.assigned.len();
-                if !self.assigned[idx].deframer.has_event() {
-                    match self.fetch_more(idx)? {
-                        FetchOutcome::Fetching => {}
-                        FetchOutcome::Idle(until) => wake_at = wake_at.min(until),
-                        FetchOutcome::End => completed.push(idx),
-                    }
+                if !self.assigned[idx].deframer.has_event() && self.fetch_more(idx)? {
+                    completed.push(idx);
                 }
                 if let Some(event) = self.pop_event(idx)? {
                     self.rr_cursor = (idx + 1) % self.assigned.len();
@@ -326,15 +311,15 @@ impl<T, S: Serializer<T>> EventStreamReader<T, S> {
             if now >= deadline {
                 return Ok(None);
             }
-            // Nothing buffered anywhere: sleep until a reply lands, a segment
-            // at its tail is due another look, the group is, or the caller's
-            // time is up. A reader that owns nothing keeps asking the group.
+            // Nothing buffered anywhere: sleep until a reply lands, the group
+            // is due a sync, or the caller's time is up. A reader that owns
+            // nothing keeps asking the group.
             let next_sync = match self.last_acquire {
                 Some(at) if !self.assigned.is_empty() => at + ACQUIRE_INTERVAL,
-                _ => now + TAIL_POLL,
+                _ => now + UNASSIGNED_RESYNC,
             };
             let fetching = self.assigned.iter().any(|a| a.fetcher.in_flight.is_some());
-            self.wakeup.wait_until(Some(wake_at.min(next_sync)));
+            self.wakeup.wait_until(Some(deadline.min(next_sync)));
             if fetching {
                 self.metrics
                     .fetch_wait_nanos
@@ -357,16 +342,15 @@ impl<T, S: Serializer<T>> EventStreamReader<T, S> {
         Ok(None)
     }
 
-    /// Takes the reply to segment `idx`'s read if it has arrived, sending the
-    /// read first if none is in flight and the segment is due one. Never
-    /// blocks.
-    fn fetch_more(&mut self, idx: usize) -> Result<FetchOutcome, ClientError> {
+    /// Takes the reply to segment `idx`'s read if it has arrived; never
+    /// blocks. Returns whether the segment is fully consumed.
+    fn fetch_more(&mut self, idx: usize) -> Result<bool, ClientError> {
         let a = &mut self.assigned[idx];
         if a.end_seen {
             // Every buffered event has been handed out: the segment is done,
             // unless it ended in the middle of one.
             return if a.deframer.buffered_bytes() == 0 {
-                Ok(FetchOutcome::End)
+                Ok(true)
             } else {
                 Err(ClientError::Protocol(format!(
                     "{:?} ends inside an event",
@@ -374,14 +358,8 @@ impl<T, S: Serializer<T>> EventStreamReader<T, S> {
                 )))
             };
         }
-        if a.fetcher.in_flight.is_none() {
-            if clock::monotonic_now() < a.poll_at {
-                return Ok(FetchOutcome::Idle(a.poll_at));
-            }
-            a.fetcher.request()?;
-        }
         let Some(reply) = a.fetcher.poll()? else {
-            return Ok(FetchOutcome::Fetching);
+            return Ok(false);
         };
         match reply {
             Reply::SegmentRead {
@@ -390,32 +368,21 @@ impl<T, S: Serializer<T>> EventStreamReader<T, S> {
                 ..
             } => {
                 a.deframer.feed(&data);
-                if end_of_segment {
-                    a.end_seen = true;
-                    if a.deframer.buffered_bytes() == 0 {
-                        return Ok(FetchOutcome::End);
-                    }
-                }
-                if data.is_empty() {
-                    a.poll_at = clock::monotonic_now() + TAIL_POLL;
-                    Ok(FetchOutcome::Idle(a.poll_at))
-                } else {
-                    Ok(FetchOutcome::Fetching)
-                }
+                a.end_seen = end_of_segment;
+                Ok(end_of_segment && a.deframer.buffered_bytes() == 0)
             }
             Reply::OffsetTruncated { start_offset } => {
                 // Data below was retention-truncated; resume at the head.
                 // What is buffered lies below it too, and goes with it.
                 a.deframer.clear();
                 a.consumed_offset = start_offset;
-                a.fetcher.restart_at(start_offset);
-                a.fetcher.request()?;
-                Ok(FetchOutcome::Fetching)
+                a.fetcher.restart_at(start_offset)?;
+                Ok(false)
             }
             Reply::NoSuchSegment => {
                 // Segment deleted by retention: treat as ended.
                 a.end_seen = true;
-                Ok(FetchOutcome::End)
+                Ok(true)
             }
             other => Err(ClientError::Protocol(format!(
                 "unexpected read reply: {other:?}"
@@ -435,111 +402,5 @@ impl<T, S: Serializer<T>> EventStreamReader<T, S> {
         let _ = self.group.acquire_segments(&self.reader_id, &offsets);
         self.assigned.clear();
         self.group.reader_offline(&self.reader_id)
-    }
-}
-
-enum FetchOutcome {
-    /// Bytes were fed to the deframer, or a read is in flight whose reply
-    /// will wake the reader.
-    Fetching,
-    /// Nothing in flight and nothing to ask for until the given moment
-    /// (caught up with the tail).
-    Idle(Instant),
-    /// The segment is fully consumed.
-    End,
-}
-
-/// Reads a segment from `offset` up to its end (or, if it is not sealed, up
-/// to its current tail) as raw event payloads: a historical read outside a
-/// reader group.
-///
-/// # Errors
-///
-/// Connection/protocol failures.
-pub fn read_segment_events(
-    connection: Connection,
-    segment: &ScopedSegment,
-    offset: u64,
-) -> Result<Vec<Bytes>, ClientError> {
-    let mut fetcher = SegmentFetcher::new(connection, segment.clone(), offset);
-    let mut deframer = EventDeframer::new();
-    let mut out = Vec::new();
-    loop {
-        match fetcher.wait()? {
-            Reply::SegmentRead {
-                data,
-                end_of_segment,
-                at_tail,
-                ..
-            } => {
-                deframer.feed(&data);
-                while let Some(event) = deframer.next_event() {
-                    out.push(event);
-                }
-                if end_of_segment || (at_tail && data.is_empty()) {
-                    return Ok(out);
-                }
-            }
-            Reply::NoSuchSegment => return Err(ClientError::NotFound),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "unexpected read reply: {other:?}"
-                )))
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::serializer::frame_event;
-    use pravega_common::id::{ScopedStream, SegmentId};
-    use pravega_common::wire::{connection_pair, ReplyEnvelope};
-
-    /// `read_segment_events` rides the same fetcher as the group reader: the
-    /// read after a reply that carried data is on the wire before the reply
-    /// has been looked at, and nothing follows the reply that ends the
-    /// segment.
-    #[test]
-    fn read_segment_events_keeps_one_read_in_flight_until_the_segment_ends() {
-        let (client, server) = connection_pair();
-        let segment = ScopedStream::new("s", "t")
-            .unwrap()
-            .segment(SegmentId::new(0, 0));
-        let events: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 10])).collect();
-        let framed: Vec<u8> = events
-            .iter()
-            .flat_map(|e| frame_event(e).to_vec())
-            .collect();
-        // Two replies; the cut falls inside the third event.
-        let cut = 2 * 14 + 5;
-        let store = std::thread::spawn(move || {
-            let mut offsets = Vec::new();
-            for (data, end_of_segment) in [(&framed[..cut], false), (&framed[cut..], true)] {
-                let envelope = server.recv().unwrap();
-                let Request::ReadSegment { offset, .. } = envelope.request else {
-                    panic!("expected a read, got {:?}", envelope.request);
-                };
-                offsets.push(offset);
-                let reply = Reply::SegmentRead {
-                    offset,
-                    data: Bytes::copy_from_slice(data),
-                    end_of_segment,
-                    at_tail: false,
-                };
-                server
-                    .send(ReplyEnvelope {
-                        request_id: envelope.request_id,
-                        reply,
-                    })
-                    .unwrap();
-            }
-            // Dropping the server end fails any read sent past the end.
-            offsets
-        });
-        let got = read_segment_events(client, &segment, 0).unwrap();
-        assert_eq!(got, events);
-        assert_eq!(store.join().unwrap(), vec![0, cut as u64]);
     }
 }

@@ -430,7 +430,7 @@ impl PravegaCluster {
         let rollover = config.log_rollover_bytes;
         let factory_metrics = metrics.clone();
         let factory_wal_logs = wal_logs.clone();
-        let store = SegmentStore::new(
+        let store = SegmentStore::new_with_metrics(
             SegmentStoreConfig {
                 host_id: host.to_string(),
                 container_count: config.container_count,
@@ -461,6 +461,7 @@ impl PravegaCluster {
                     &factory_metrics,
                 )
             }),
+            metrics,
         );
         let frontend = match config.transport {
             TransportKind::InProcess => None,

@@ -194,6 +194,8 @@ pub struct BlockCache {
     /// Whether a buffer id is currently in `available`.
     queued: Vec<bool>,
     used_bytes: usize,
+    /// Bytes held on the heap beside the cache: see [`BlockCache::overflowed`].
+    overflow_bytes: usize,
     entry_count: usize,
     /// The cache's use clock: see [`BlockCache::touch`].
     touches: AtomicU64,
@@ -215,6 +217,7 @@ impl BlockCache {
             available: VecDeque::new(),
             queued: vec![false; config.max_buffers as usize],
             used_bytes: 0,
+            overflow_bytes: 0,
             entry_count: 0,
             touches: AtomicU64::new(0),
         }
@@ -231,6 +234,25 @@ impl BlockCache {
     /// Bytes of entry data currently stored.
     pub fn used_bytes(&self) -> usize {
         self.used_bytes
+    }
+
+    /// Notes `bytes` of index data that a read index holds on the heap
+    /// because no block was free when they arrived. The cache does not store
+    /// them, but they are memory it answers for: they count toward
+    /// [`BlockCache::resident_bytes`], which eviction works down.
+    pub fn overflowed(&mut self, bytes: usize) {
+        self.overflow_bytes += bytes;
+    }
+
+    /// Notes that `bytes` noted by [`BlockCache::overflowed`] were released.
+    pub fn overflow_released(&mut self, bytes: usize) {
+        self.overflow_bytes = self.overflow_bytes.saturating_sub(bytes);
+    }
+
+    /// Bytes of entry data resident: stored in the cache or held on the heap
+    /// beside it.
+    pub fn resident_bytes(&self) -> usize {
+        self.used_bytes + self.overflow_bytes
     }
 
     /// Number of live entries.

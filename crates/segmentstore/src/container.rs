@@ -245,6 +245,14 @@ impl ContainerInner {
         self.log.get().expect("durable log initialized at start")
     }
 
+    /// Stops the container for every caller: new requests fail, and reads
+    /// parked on a segment's next apply wake to find it stopped instead of
+    /// waiting out their bound.
+    pub(crate) fn mark_stopped(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.wake_apply_waiters();
+    }
+
     pub(crate) fn check_running(&self) -> Result<(), SegmentError> {
         if self.stopped.load(Ordering::SeqCst) {
             Err(SegmentError::ContainerStopped)
@@ -284,7 +292,7 @@ impl CommitSink for ContainerInner {
 
     fn on_log_failure(&self, _error: &SegmentError) {
         // §4.4: a severe error with a dependency shuts the container down.
-        self.stopped.store(true, Ordering::SeqCst);
+        self.mark_stopped();
     }
 }
 
@@ -527,7 +535,7 @@ impl SegmentContainer {
 
     /// Stops the container: drains the pipeline and joins threads.
     pub fn stop(&self) {
-        self.inner.stopped.store(true, Ordering::SeqCst);
+        self.inner.mark_stopped();
         self.inner.log().stop();
         self.join_background_threads();
     }
@@ -548,7 +556,7 @@ impl SegmentContainer {
     /// through this handle must fail with
     /// [`pravega_wal::error::WalError::Fenced`].
     pub fn crash(&self) -> Arc<dyn DurableDataLog> {
-        self.inner.stopped.store(true, Ordering::SeqCst);
+        self.inner.mark_stopped();
         self.inner.log().crash();
         self.join_background_threads();
         self.inner.log().wal_handle()

@@ -2,10 +2,12 @@
 //!
 //! Operations from *all* of a container's segments are multiplexed into a
 //! single WAL log. A builder thread aggregates operations into data frames
-//! (each frame stays open for one adaptive delay, fixed when its first
-//! operation arrives); a commit thread waits for WAL acknowledgements **in
-//! order**, applies the committed operations to the container state, and
-//! completes client promises.
+//! (a frame that opens behind a write still waiting for its WAL ack stays
+//! open for one adaptive delay, fixed when its first operation arrives; a
+//! frame that opens on an idle log takes what is queued and goes at once);
+//! a commit thread waits for WAL acknowledgements **in order**, applies the
+//! committed operations to the container state, and completes client
+//! promises.
 //!
 //! The log also tracks, per committed frame, the highest append offset per
 //! segment — the bookkeeping that lets the storage writer truncate the WAL
@@ -21,7 +23,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pravega_common::clock;
 use pravega_common::crashpoints;
 use pravega_common::future::Completer;
-use pravega_common::metrics::{Gauge, Histogram, MetricsRegistry};
+use pravega_common::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use pravega_common::rate::EwmaValue;
 use pravega_sync::{rank, Mutex};
 use pravega_wal::log::{DurableDataLog, LogAddress};
@@ -73,6 +75,9 @@ struct CommitBatch {
     opened_at: Instant,
     /// When the sealed frame was handed to `wal.append`.
     submitted_at: Instant,
+    /// Holds the frame in `LogShared::frames_in_flight` until the commit
+    /// loop has its outcome; `None` for a frame that never reached the WAL.
+    in_flight: Option<InFlight>,
 }
 
 impl CommitBatch {
@@ -84,7 +89,27 @@ impl CommitBatch {
             future: pravega_wal::log::AppendFuture::failed(pravega_wal::error::WalError::Closed),
             opened_at,
             submitted_at: opened_at,
+            in_flight: None,
         }
+    }
+}
+
+/// One frame handed to `wal.append` whose outcome the commit loop has not
+/// yet taken. Dropping it takes the frame off the count, so a batch that is
+/// committed, failed, or lost with a dead committer's channel is counted
+/// out exactly once.
+struct InFlight(Arc<LogShared>);
+
+impl InFlight {
+    fn enter(shared: &Arc<LogShared>) -> Self {
+        shared.frames_in_flight.fetch_add(1, Ordering::SeqCst);
+        Self(shared.clone())
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.frames_in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -95,12 +120,16 @@ struct LogShared {
     avg_frame_size: Mutex<EwmaValue>,
     failed: AtomicBool,
     queued_ops: AtomicUsize,
+    /// Frames submitted to the WAL and not yet acked or failed (see
+    /// [`InFlight`]). Zero when a frame opens means the log is idle.
+    frames_in_flight: AtomicUsize,
     frame_size_hist: Arc<Histogram>,
     wal_latency_nanos: Arc<Histogram>,
     wal_quorum_nanos: Arc<Histogram>,
     frame_open_nanos: Arc<Histogram>,
     fill_pct_hist: Arc<Histogram>,
     batch_delay_nanos: Arc<Histogram>,
+    idle_frames: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     truncate_nanos: Arc<Histogram>,
 }
@@ -156,12 +185,14 @@ impl DurableLog {
             avg_frame_size: Mutex::new(rank::DURABLE_LOG_FRAME_SIZE, EwmaValue::new(0.3)),
             failed: AtomicBool::new(false),
             queued_ops: AtomicUsize::new(0),
+            frames_in_flight: AtomicUsize::new(0),
             frame_size_hist: metrics.histogram("segmentstore.durablelog.frame_bytes"),
             wal_latency_nanos: metrics.histogram("segmentstore.durablelog.wal_append_nanos"),
             wal_quorum_nanos: metrics.histogram("segmentstore.durablelog.wal_quorum_nanos"),
             frame_open_nanos: metrics.histogram("segmentstore.durablelog.frame_open_nanos"),
             fill_pct_hist: metrics.histogram("segmentstore.durablelog.frame_fill_pct"),
             batch_delay_nanos: metrics.histogram("segmentstore.durablelog.batch_delay_nanos"),
+            idle_frames: metrics.counter("segmentstore.durablelog.idle_frames"),
             queue_depth: metrics.gauge("segmentstore.durablelog.queued_ops"),
             truncate_nanos: metrics.histogram("segmentstore.durablelog.truncate_nanos"),
         });
@@ -242,6 +273,12 @@ impl DurableLog {
     #[cfg(test)]
     fn recent_latency(&self) -> Duration {
         Duration::from_secs_f64(self.shared.recent_latency_secs.lock().value_or(0.0))
+    }
+
+    /// Frames handed to the WAL whose outcome the commit loop has not taken.
+    #[cfg(test)]
+    fn frames_in_flight(&self) -> usize {
+        self.shared.frames_in_flight.load(Ordering::SeqCst)
     }
 
     /// Histogram of committed frame sizes (bytes).
@@ -367,25 +404,35 @@ fn builder_loop(
         let mut items = Vec::new();
         builder.push_op(first.seq, &first.op);
         items.push(first);
-        // One deadline per frame (§4.1): the adaptive delay is fixed when the
-        // frame opens and counts from its first operation. Re-arming it per
-        // received op would let any trickle with gaps shorter than the delay
-        // hold the frame open until `max_batch_delay` (or, uncapped, until
+        // The delay (§4.1) lets small writes share a busy WAL: a frame that
+        // opens while an earlier one still waits for its ack holds on for
+        // company. On an idle log there is no write to share, so the frame
+        // takes only what is already queued and goes.
+        //
+        // One deadline per frame: the delay is fixed when the frame opens
+        // and counts from its first operation. Re-arming it per received op
+        // would let any trickle with gaps shorter than the delay hold the
+        // frame open until `max_batch_delay` (or, uncapped, until
         // MaxFrameSize).
-        let latency =
-            Duration::from_secs_f64(shared.recent_latency_secs.lock().value_or(0.0).max(0.0));
-        let avg_size = shared
-            .avg_frame_size
-            .lock()
-            .value_or(config.max_frame_bytes as f64);
-        let adaptive = batch_delay(
-            latency,
-            avg_size,
-            config.max_frame_bytes as f64,
-            config.max_batch_delay,
-        );
-        shared.batch_delay_nanos.record(adaptive.as_nanos() as u64);
-        let deadline = opened_at + adaptive;
+        let delay = if shared.frames_in_flight.load(Ordering::SeqCst) == 0 {
+            shared.idle_frames.inc();
+            Duration::ZERO
+        } else {
+            let latency =
+                Duration::from_secs_f64(shared.recent_latency_secs.lock().value_or(0.0).max(0.0));
+            let avg_size = shared
+                .avg_frame_size
+                .lock()
+                .value_or(config.max_frame_bytes as f64);
+            batch_delay(
+                latency,
+                avg_size,
+                config.max_frame_bytes as f64,
+                config.max_batch_delay,
+            )
+        };
+        shared.batch_delay_nanos.record(delay.as_nanos() as u64);
+        let deadline = opened_at + delay;
         while !builder.is_full() {
             // A zero timeout still hands over what is already queued, so a
             // backlog fills the frame past its deadline without waiting.
@@ -440,6 +487,7 @@ fn builder_loop(
             break;
         }
         let submitted_at = clock::monotonic_now();
+        let in_flight = InFlight::enter(&shared);
         let future = shared.wal.append(frame);
         if commit_tx
             .send(CommitBatch {
@@ -447,11 +495,13 @@ fn builder_loop(
                 future,
                 opened_at,
                 submitted_at,
+                in_flight: Some(in_flight),
             })
             .is_err()
         {
             // The committer is gone: nothing downstream can resolve promises
-            // any more, so the pipeline is dead.
+            // any more, so the pipeline is dead. (The unsent batch, dropped
+            // here, takes its frame off the in-flight count.)
             shared.failed.store(true, Ordering::SeqCst);
             break;
         }
@@ -481,6 +531,8 @@ fn commit_loop(
         } else {
             batch.future.wait().map_err(SegmentError::from)
         };
+        // The WAL is done with this frame: the next one to open may be idle.
+        drop(batch.in_flight);
         match result {
             Ok(addr) => {
                 // `RecentLatency` in the delay formula is the WAL's own
@@ -553,7 +605,8 @@ fn commit_loop(
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use pravega_common::future::promise;
+    use pravega_common::crashpoints::CrashHook;
+    use pravega_common::future::{promise, Promise};
     use pravega_common::id::WriterId;
     use pravega_wal::error::WalError;
     use pravega_wal::log::{AppendFuture, InMemoryLog};
@@ -588,6 +641,8 @@ mod tests {
         inner: InMemoryLog,
         acks: Option<Sender<(Instant, Completer<Result<u64, WalError>>, u64)>>,
         acker: Option<JoinHandle<()>>,
+        /// When each append was submitted, in order.
+        submitted: Mutex<Vec<Instant>>,
     }
 
     const ACK_AFTER: Duration = Duration::from_millis(2);
@@ -605,7 +660,12 @@ mod tests {
                 inner: InMemoryLog::new(),
                 acks: Some(acks),
                 acker: Some(acker),
+                submitted: Mutex::new(rank::TEST_FIXTURE, Vec::new()),
             }
+        }
+
+        fn submissions(&self) -> Vec<Instant> {
+            self.submitted.lock().clone()
         }
     }
 
@@ -620,7 +680,9 @@ mod tests {
 
     impl DurableDataLog for FixedAckLog {
         fn append(&self, data: Bytes) -> AppendFuture {
-            let at = Instant::now() + ACK_AFTER;
+            let now = Instant::now();
+            self.submitted.lock().push(now);
+            let at = now + ACK_AFTER;
             let stored = match self.inner.append(data).wait() {
                 Ok(addr) => addr,
                 Err(e) => return AppendFuture::failed(e),
@@ -724,6 +786,191 @@ mod tests {
              (bound {bound:.1}; the cap alone would allow 100)"
         );
         log.stop();
+    }
+
+    fn enqueue_append(log: &DurableLog, seq: u64) -> Promise<Result<(), SegmentError>> {
+        let (completer, pr) = promise();
+        log.enqueue(EnqueuedOp {
+            seq,
+            op: append_op(seq),
+            completer: Some(completer),
+        })
+        .unwrap();
+        pr
+    }
+
+    /// Sparse ops each reach a log with nothing in flight: their frames take
+    /// no delay, where the formula alone would hold each one for about one
+    /// `RecentLatency` (here `ACK_AFTER`).
+    #[test]
+    fn an_op_reaching_an_idle_log_is_submitted_at_once() {
+        let wal = Arc::new(FixedAckLog::new());
+        let metrics = MetricsRegistry::new();
+        let log = DurableLog::start(
+            wal.clone(),
+            Arc::new(RecordingSink::default()),
+            ContainerConfig::default(),
+            &metrics,
+        )
+        .unwrap();
+        let ops = 40u64;
+        let mut lags: Vec<Duration> = (0..ops)
+            .map(|seq| {
+                let enqueued = Instant::now();
+                enqueue_append(&log, seq).wait().unwrap().unwrap();
+                let lag = wal.submissions()[seq as usize] - enqueued;
+                std::thread::sleep(Duration::from_millis(5));
+                lag
+            })
+            .collect();
+        assert!(
+            log.recent_latency() >= ACK_AFTER,
+            "the delay the idle frames skipped would have been {:?}",
+            log.recent_latency()
+        );
+        lags.sort_unstable();
+        let median = lags[lags.len() / 2];
+        assert!(
+            median < ACK_AFTER / 4,
+            "an op on an idle log waited {median:?} (median) to reach a WAL that acks in \
+             {ACK_AFTER:?}"
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.counter("segmentstore.durablelog.idle_frames"),
+            Some(ops)
+        );
+        let delays = snap
+            .histogram("segmentstore.durablelog.batch_delay_nanos")
+            .unwrap();
+        assert_eq!(
+            (delays.count, delays.max),
+            (ops, 0),
+            "one zero per idle frame"
+        );
+        log.stop();
+    }
+
+    /// An op that arrives while a frame waits for its ack opens a frame that
+    /// waits the adaptive delay, as before.
+    #[test]
+    fn an_op_behind_a_frame_in_flight_waits_the_adaptive_delay() {
+        let wal = Arc::new(FixedAckLog::new());
+        let metrics = MetricsRegistry::new();
+        let log = DurableLog::start(
+            wal.clone(),
+            Arc::new(RecordingSink::default()),
+            ContainerConfig::default(),
+            &metrics,
+        )
+        .unwrap();
+        // Teach the log its WAL's latency.
+        trickle(&log, 10, Duration::from_millis(5));
+        let first = enqueue_append(&log, 10);
+        while wal.submissions().len() < 11 {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        let enqueued = Instant::now();
+        let second = enqueue_append(&log, 11);
+        first.wait().unwrap().unwrap();
+        second.wait().unwrap().unwrap();
+        let lag = wal.submissions()[11] - enqueued;
+        assert!(
+            lag >= ACK_AFTER / 2,
+            "an op behind a frame in flight was submitted after {lag:?}, not after the \
+             adaptive delay (RecentLatency {:?})",
+            log.recent_latency()
+        );
+        let idle = metrics
+            .snapshot()
+            .counter("segmentstore.durablelog.idle_frames");
+        assert_eq!(
+            idle,
+            Some(11),
+            "every frame but the last opened on an idle log"
+        );
+        log.stop();
+    }
+
+    /// A sink whose every apply panics: it kills the commit thread.
+    struct PanickingSink;
+
+    impl CommitSink for PanickingSink {
+        fn apply(&self, _seq: u64, _op: &Operation) {
+            panic!("committer dies");
+        }
+        fn on_log_failure(&self, _error: &SegmentError) {}
+    }
+
+    /// Every frame submitted to the WAL is counted out once, whether it is
+    /// acked, fails, or is lost with the committer; a frame that never
+    /// reaches the WAL is never counted in. A leak would hold every later
+    /// frame open for the adaptive delay.
+    #[test]
+    fn frames_in_flight_return_to_zero_on_every_failure_path() {
+        // A WAL error.
+        let wal = Arc::new(InMemoryLog::new());
+        let log = DurableLog::start(
+            wal.clone(),
+            Arc::new(RecordingSink::default()),
+            ContainerConfig::default(),
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
+        enqueue_append(&log, 0).wait().unwrap().unwrap();
+        assert_eq!(log.frames_in_flight(), 0);
+        wal.fence();
+        assert!(enqueue_append(&log, 1).wait().unwrap().is_err());
+        assert_eq!(log.frames_in_flight(), 0, "after a WAL error");
+        log.stop();
+
+        // The mid-frame crash point: the torn frame is not a submitted batch.
+        let log = DurableLog::start(
+            Arc::new(InMemoryLog::new()),
+            Arc::new(RecordingSink::default()),
+            ContainerConfig {
+                crash_hook: CrashHook::armed(|point| {
+                    point == crashpoints::SEGMENTSTORE_DURABLELOG_MID_FRAME
+                }),
+                ..ContainerConfig::default()
+            },
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
+        assert!(enqueue_append(&log, 0).wait().unwrap().is_err());
+        assert!(log.is_failed());
+        assert_eq!(log.frames_in_flight(), 0, "after the mid-frame crash point");
+        log.stop();
+
+        // A dead committer: the builder finds out when its next send fails.
+        let log = DurableLog::start(
+            Arc::new(InMemoryLog::new()),
+            Arc::new(PanickingSink),
+            ContainerConfig::default(),
+            &MetricsRegistry::new(),
+        )
+        .unwrap();
+        assert!(
+            enqueue_append(&log, 0).wait().is_err(),
+            "the committer died"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut seq = 1;
+        while !log.is_failed() {
+            assert!(
+                Instant::now() < deadline,
+                "the builder never saw the dead committer"
+            );
+            let _ = log.enqueue(EnqueuedOp {
+                seq,
+                op: append_op(seq),
+                completer: None,
+            });
+            seq += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        log.stop();
+        assert_eq!(log.frames_in_flight(), 0, "after the committer died");
     }
 
     fn append_op(seq: u64) -> Operation {

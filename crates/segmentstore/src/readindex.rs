@@ -129,6 +129,7 @@ impl ReadIndex {
             Ok(addr) => Location::Cache(addr),
             Err(_) => {
                 self.heap_bytes += data.len() as u64;
+                cache.overflowed(data.len());
                 Location::Heap(Bytes::copy_from_slice(data))
             }
         };
@@ -226,6 +227,7 @@ impl ReadIndex {
             }
             Location::Heap(b) => {
                 self.heap_bytes -= b.len() as u64;
+                cache.overflow_released(b.len());
             }
         }
     }

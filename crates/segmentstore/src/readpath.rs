@@ -6,6 +6,7 @@
 //! waiting and LTS fetches happen outside it. A fetch that hits a corrupt
 //! chunk repairs it from the retained WAL before giving up.
 
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -62,6 +63,11 @@ impl ContainerInner {
             }
             if !want_wait {
                 return ReadDecision::Return(ReadResult::at_tail(offset));
+            }
+            // Read under the core lock, which `mark_stopped` takes after
+            // setting the flag: a read parked here is woken by the stop.
+            if self.stopped.load(Ordering::SeqCst) {
+                return ReadDecision::Fail(SegmentError::ContainerStopped);
             }
             self.metrics.tail_read_waits.inc();
             return ReadDecision::Wait(st.next_apply());

@@ -187,13 +187,23 @@ impl ContainerInner {
     /// Sequences a snapshot of the committed state into the WAL and waits
     /// for it to commit.
     pub(crate) fn write_checkpoint(&self) -> Result<(), SegmentError> {
+        // Counted before the snapshot is built, so every op counted here is
+        // in it. Ops that apply while the checkpoint is in flight are not:
+        // they stay counted, so that a later checkpoint covers them and the
+        // WAL can drop their frames.
+        let covered = self.ops_since_checkpoint.load(Ordering::Relaxed);
         let op = Operation::MetadataCheckpoint {
             snapshot: self.build_snapshot().encode(),
         };
         let pr = self.processor.lock().sequence(self.log(), op)?;
         wait_done(pr)?;
         self.metrics.checkpoints.inc();
-        self.ops_since_checkpoint.store(0, Ordering::Relaxed);
+        // `+ 1`: the checkpoint op's own apply.
+        let _ = self
+            .ops_since_checkpoint
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                Some(n.saturating_sub(covered + 1))
+            });
         Ok(())
     }
 }

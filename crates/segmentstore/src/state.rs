@@ -200,8 +200,20 @@ impl ContainerInner {
         }
     }
 
-    fn evict_if_needed(&self, core: &mut Core) {
-        if core.cache.utilization() <= self.config.cache_high_watermark {
+    /// Wakes every waiter on every segment's next apply.
+    pub(crate) fn wake_apply_waiters(&self) {
+        for st in self.core.lock().segments.values_mut() {
+            st.wake_waiters();
+        }
+    }
+
+    /// Evicts flushed entries, least recently used first, once resident
+    /// data passes the cache's high watermark. Bytes held on the heap beside
+    /// a full cache count: they are resident too, and a cache full of
+    /// unflushed bytes sends everything appended after them there.
+    pub(crate) fn evict_if_needed(&self, core: &mut Core) {
+        let capacity = core.cache.capacity_bytes() as f64;
+        if core.cache.resident_bytes() as f64 <= capacity * self.config.cache_high_watermark {
             return;
         }
         // Eviction runs under the core lock on the apply path, so its cost
@@ -210,9 +222,10 @@ impl ContainerInner {
         // Evict down to 80% of the high watermark, least recently used first
         // across every segment: a cold fill one reader is still working
         // through must outlive what any reader has long since passed.
-        let low =
-            (core.cache.capacity_bytes() as f64 * self.config.cache_high_watermark * 0.8) as u64;
-        let target = (core.cache.used_bytes() as u64).saturating_sub(low).max(1);
+        let low = (capacity * self.config.cache_high_watermark * 0.8) as u64;
+        let target = (core.cache.resident_bytes() as u64)
+            .saturating_sub(low)
+            .max(1);
         let evictable = core
             .segments
             .values()

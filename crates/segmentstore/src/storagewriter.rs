@@ -185,10 +185,16 @@ fn run_flush_pass(
     // pass that did move data waits for one of the two: checkpointing after
     // every such pass costs one snapshot per `flush_interval` under any
     // steady load, however light.
+    //
+    // An idle pass also retries the truncation alone when more than the
+    // checkpoint frame is still retained with no op since: a checkpoint
+    // taken while the flush was behind could not drop the frames holding
+    // then-unflushed bytes, and no later checkpoint comes to drop them.
     let ops_since = inner.ops_since_checkpoint.load(Ordering::Relaxed);
     let idle = !worked && inner.unflushed_bytes.load(Ordering::Relaxed) == 0;
-    let truncate_due = (idle || ops_since >= inner.config.checkpoint_interval_ops)
-        && ops_since > 0
+    let checkpoint_due =
+        (idle || ops_since >= inner.config.checkpoint_interval_ops) && ops_since > 0;
+    let truncate_due = (checkpoint_due || (idle && inner.log().retained_frames() > 1))
         && !inner.stopped.load(Ordering::SeqCst);
 
     inner
@@ -203,25 +209,28 @@ fn run_flush_pass(
     (flush_error.map_or(Ok(worked), Err), truncate_due)
 }
 
-/// Writes a metadata checkpoint and truncates the WAL below it. Runs on the
-/// truncator thread in production and inline from the test hook; either way
-/// the checkpoint contends with appends through the operation processor, so
-/// the whole step is attributed as a truncation stall.
+/// Writes a metadata checkpoint if any op applied since the last one, and
+/// truncates the WAL below the latest. Runs on the truncator thread in
+/// production and inline from the test hook; either way the checkpoint
+/// contends with appends through the operation processor, so the whole step
+/// is attributed as a truncation stall.
 fn checkpoint_and_truncate(inner: &Arc<ContainerInner>) -> Result<(), SegmentError> {
     let start = clock::monotonic_now();
-    if inner
-        .config
-        .crash_hook
-        .fire(crashpoints::SEGMENTSTORE_CONTAINER_MID_CHECKPOINT)
-    {
-        // Simulated crash between tiering and the metadata checkpoint:
-        // data is in LTS but the WAL still holds (and will replay) the
-        // corresponding operations. Replay must be idempotent.
-        return Err(SegmentError::Internal(
-            "crash injected before metadata checkpoint".into(),
-        ));
+    if inner.ops_since_checkpoint.load(Ordering::Relaxed) > 0 {
+        if inner
+            .config
+            .crash_hook
+            .fire(crashpoints::SEGMENTSTORE_CONTAINER_MID_CHECKPOINT)
+        {
+            // Simulated crash between tiering and the metadata checkpoint:
+            // data is in LTS but the WAL still holds (and will replay) the
+            // corresponding operations. Replay must be idempotent.
+            return Err(SegmentError::Internal(
+                "crash injected before metadata checkpoint".into(),
+            ));
+        }
+        inner.write_checkpoint()?;
     }
-    inner.write_checkpoint()?;
     let flushed: HashMap<String, u64> = inner
         .core
         .lock()
@@ -337,9 +346,15 @@ fn flush_segment(
         let moved = new_len - flushed;
         flushed = new_len;
         inner.metrics.flushed_bytes.add(moved);
-        // (A segment deleted mid-flush has no record left to advance.)
-        if let Some(st) = inner.core.lock().segments.get_mut(&target.name) {
-            st.flushed = flushed;
+        {
+            let mut core = inner.core.lock();
+            // (A segment deleted mid-flush has no record left to advance.)
+            if let Some(st) = core.segments.get_mut(&target.name) {
+                st.flushed = flushed;
+            }
+            // What was just flushed may leave memory: evict now, not at the
+            // next apply, which may be long in coming.
+            inner.evict_if_needed(&mut core);
         }
         inner.release_unflushed(moved);
         worked = true;

@@ -9,18 +9,30 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{bounded, unbounded, Sender};
 use pravega_common::hashing::container_for_segment;
 use pravega_common::id::{ContainerId, WriterId};
+use pravega_common::metrics::{Counter, MetricsRegistry};
 use pravega_common::wire::{
     connection_pair, Connection, Reply, ReplyEnvelope, Request, SegmentInfo, ServerEnd,
 };
 use pravega_sync::{rank, Mutex};
 
-use crate::container::{AppendHandle, ContainerConfig, SegmentContainer, SegmentLoad};
+use crate::container::{AppendHandle, ContainerConfig, ReadResult, SegmentContainer, SegmentLoad};
 use crate::error::SegmentError;
+
+/// How long a read that waits for data stays parked at the tail before it
+/// is answered empty (the client then parks another).
+const TAIL_WAIT: Duration = Duration::from_secs(2);
+
+/// Parked reads queued for a connection's tail thread beyond the one it is
+/// serving. The event reader keeps one read in flight per connection, so it
+/// never queues; a client that parks more reads than this stalls its own
+/// connection until the thread takes the next one.
+const TAIL_QUEUE_DEPTH: usize = 16;
 
 /// Configuration of a segment store instance.
 #[derive(Debug, Clone)]
@@ -53,6 +65,9 @@ pub struct SegmentStore {
     config: SegmentStoreConfig,
     factory: ContainerFactory,
     containers: Mutex<HashMap<u32, Arc<SegmentContainer>>>,
+    /// `segmentstore.store.tail_read_threads`: one per connection that
+    /// parked a read.
+    tail_read_threads: Arc<Counter>,
 }
 
 impl std::fmt::Debug for SegmentStore {
@@ -67,10 +82,21 @@ impl std::fmt::Debug for SegmentStore {
 impl SegmentStore {
     /// Creates a store. No containers run until assigned.
     pub fn new(config: SegmentStoreConfig, factory: ContainerFactory) -> Arc<Self> {
+        Self::new_with_metrics(config, factory, &MetricsRegistry::new())
+    }
+
+    /// [`SegmentStore::new`] with an explicit registry for the store's
+    /// `segmentstore.store.*` instruments (the cluster passes its shared one).
+    pub fn new_with_metrics(
+        config: SegmentStoreConfig,
+        factory: ContainerFactory,
+        metrics: &MetricsRegistry,
+    ) -> Arc<Self> {
         Arc::new(Self {
             config,
             factory,
             containers: Mutex::new(rank::SEGMENTSTORE_STORE, HashMap::new()),
+            tail_read_threads: metrics.counter("segmentstore.store.tail_read_threads"),
         })
     }
 
@@ -168,7 +194,7 @@ impl SegmentStore {
 
     /// Opens an in-process connection to this store. Requests are processed
     /// in order; appends are pipelined (acknowledged asynchronously once
-    /// durable) and blocking tail reads do not stall the connection.
+    /// durable) and reads parked at the tail do not stall the connection.
     ///
     /// # Errors
     ///
@@ -258,18 +284,12 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
             offset,
             max_bytes,
             wait_for_data,
-        } => {
-            let wait = wait_for_data.then(|| Duration::from_secs(2));
-            match container.read(&segment.qualified_name(), offset, max_bytes as usize, wait) {
-                Ok(r) => Reply::SegmentRead {
-                    offset: r.offset,
-                    data: r.data,
-                    end_of_segment: r.end_of_segment,
-                    at_tail: r.at_tail,
-                },
-                Err(e) => error_reply(e),
-            }
-        }
+        } => read_reply(container.read(
+            &segment.qualified_name(),
+            offset,
+            max_bytes as usize,
+            wait_for_data.then_some(TAIL_WAIT),
+        )),
         Request::GetSegmentInfo { segment } => {
             match container.get_info(&segment.qualified_name()) {
                 Ok(info) => Reply::SegmentInfo(SegmentInfo {
@@ -344,6 +364,18 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
     }
 }
 
+fn read_reply(result: Result<ReadResult, SegmentError>) -> Reply {
+    match result {
+        Ok(r) => Reply::SegmentRead {
+            offset: r.offset,
+            data: r.data,
+            end_of_segment: r.end_of_segment,
+            at_tail: r.at_tail,
+        },
+        Err(e) => error_reply(e),
+    }
+}
+
 /// Waits for an append to become durable and renders the outcome.
 fn append_reply(handle: AppendHandle, writer_id: WriterId, last_event_number: i64) -> Reply {
     match handle.wait() {
@@ -393,6 +425,9 @@ pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
     // handshake (the writer reconnected elsewhere) fences this connection's
     // still-queued blocks out instead of letting them race the resend.
     let mut sessions: HashMap<(WriterId, String), u64> = HashMap::new();
+    // This connection's tail thread, spawned by the first read that has to
+    // wait.
+    let mut tail: Option<TailReader> = None;
 
     while let Ok(envelope) = server.recv() {
         let request_id = envelope.request_id;
@@ -461,27 +496,41 @@ pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
                 offset,
                 max_bytes,
                 wait_for_data,
-            } if wait_for_data => {
-                // Blocking tail read: serve on a detached thread so the
-                // connection keeps flowing.
-                let store = store.clone();
-                let reply_server = server.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("conn-tail-read".into())
-                    .spawn(move || {
-                        let reply = store.call(Request::ReadSegment {
-                            segment,
-                            offset,
-                            max_bytes,
-                            wait_for_data: true,
-                        });
-                        let _ = reply_server.send(ReplyEnvelope { request_id, reply });
-                    });
-                if let Err(e) = spawned {
-                    let reply = Reply::InternalError(format!("spawn tail read: {e}"));
-                    if server.send(ReplyEnvelope { request_id, reply }).is_err() {
-                        break;
+            } => {
+                // Whatever can be answered now — bytes, the end, an error —
+                // is answered here, as a read that does not wait would be.
+                // Only a read at the tail goes to this connection's tail
+                // thread, which parks it on the segment's next apply.
+                let reply = match store.container_for(&segment) {
+                    None => Reply::WrongHost,
+                    Some(container) => {
+                        let name = segment.qualified_name();
+                        let max_bytes = max_bytes as usize;
+                        match container.read(&name, offset, max_bytes, None) {
+                            Ok(r) if r.at_tail && wait_for_data => {
+                                let parked = TailRead {
+                                    request_id,
+                                    container,
+                                    name,
+                                    offset,
+                                    max_bytes,
+                                };
+                                match tail_queue(&mut tail, &store, &server) {
+                                    Ok(queue) => {
+                                        if queue.send(parked).is_err() {
+                                            break;
+                                        }
+                                        continue;
+                                    }
+                                    Err(e) => Reply::InternalError(format!("spawn tail read: {e}")),
+                                }
+                            }
+                            result => read_reply(result),
+                        }
                     }
+                };
+                if server.send(ReplyEnvelope { request_id, reply }).is_err() {
+                    break;
                 }
             }
             other => {
@@ -494,4 +543,60 @@ pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
     }
     drop(ack_tx);
     let _ = pump.join();
+    if let Some((tail_tx, tail_reader)) = tail {
+        drop(tail_tx);
+        let _ = tail_reader.join();
+    }
+}
+
+/// A read parked at the tail of its segment.
+struct TailRead {
+    request_id: u64,
+    container: Arc<SegmentContainer>,
+    name: String,
+    offset: u64,
+    max_bytes: usize,
+}
+
+/// A connection's tail thread and the queue of reads parked for it.
+type TailReader = (Sender<TailRead>, JoinHandle<()>);
+
+/// The queue of the connection's tail thread, spawning the thread if the
+/// connection has none yet.
+fn tail_queue<'a>(
+    tail: &'a mut Option<TailReader>,
+    store: &SegmentStore,
+    server: &ServerEnd,
+) -> std::io::Result<&'a Sender<TailRead>> {
+    let reader = match tail.take() {
+        Some(reader) => reader,
+        None => spawn_tail_reader(store, server)?,
+    };
+    Ok(&tail.insert(reader).0)
+}
+
+/// Starts a connection's tail thread. It answers the connection's parked
+/// reads in order, each once its segment's next append, seal or delete
+/// applies, its container stops, or [`TAIL_WAIT`] passes.
+fn spawn_tail_reader(store: &SegmentStore, server: &ServerEnd) -> std::io::Result<TailReader> {
+    let (tail_tx, tail_rx) = bounded::<TailRead>(TAIL_QUEUE_DEPTH);
+    let reply_server = server.clone();
+    let handle = std::thread::Builder::new()
+        .name("conn-tail-read".into())
+        .spawn(move || {
+            while let Ok(read) = tail_rx.recv() {
+                let result =
+                    read.container
+                        .read(&read.name, read.offset, read.max_bytes, Some(TAIL_WAIT));
+                let reply = ReplyEnvelope {
+                    request_id: read.request_id,
+                    reply: read_reply(result),
+                };
+                if reply_server.send(reply).is_err() {
+                    break;
+                }
+            }
+        })?;
+    store.tail_read_threads.inc();
+    Ok((tail_tx, handle))
 }

@@ -2,13 +2,14 @@
 //! wire-protocol dispatch, and wrong-host routing (§2.2, §4.4).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use pravega_common::clock::SystemClock;
 use pravega_common::hashing::container_for_segment;
 use pravega_common::id::{ScopedStream, SegmentId, WriterId};
-use pravega_common::wire::{Reply, Request, RequestEnvelope, TableUpdateEntry};
+use pravega_common::metrics::MetricsRegistry;
+use pravega_common::wire::{Connection, Reply, Request, RequestEnvelope, TableUpdateEntry};
 use pravega_lts::{
     ChunkedSegmentStorage, ChunkedStorageConfig, InMemoryChunkStorage, InMemoryMetadataStore,
 };
@@ -16,12 +17,17 @@ use pravega_segmentstore::{ContainerConfig, SegmentContainer, SegmentStore, Segm
 use pravega_wal::log::InMemoryLog;
 
 fn new_store(container_count: u32) -> Arc<SegmentStore> {
+    new_store_with_metrics(container_count, &MetricsRegistry::new())
+}
+
+fn new_store_with_metrics(container_count: u32, metrics: &MetricsRegistry) -> Arc<SegmentStore> {
     let lts = ChunkedSegmentStorage::new(
         Arc::new(InMemoryChunkStorage::new()),
         Arc::new(InMemoryMetadataStore::new()),
         ChunkedStorageConfig::default(),
     );
-    SegmentStore::new(
+    let container_metrics = metrics.clone();
+    SegmentStore::new_with_metrics(
         SegmentStoreConfig {
             host_id: "test-store".into(),
             container_count,
@@ -32,7 +38,7 @@ fn new_store(container_count: u32) -> Arc<SegmentStore> {
             },
         },
         Arc::new(move |id| {
-            SegmentContainer::start(
+            SegmentContainer::start_with_metrics(
                 id,
                 Arc::new(InMemoryLog::new()),
                 lts.clone(),
@@ -42,8 +48,10 @@ fn new_store(container_count: u32) -> Arc<SegmentStore> {
                     flush_interval: Duration::from_millis(5),
                     ..ContainerConfig::default()
                 },
+                &container_metrics,
             )
         }),
+        metrics,
     )
 }
 
@@ -393,4 +401,145 @@ fn tail_read_over_the_wire_does_not_block_the_connection() {
     }
     assert!(got_read && got_append);
     store.shutdown();
+}
+
+fn counter(metrics: &MetricsRegistry, name: &str) -> u64 {
+    metrics.snapshot().counter(name).unwrap_or(0)
+}
+
+fn tail_read_threads(metrics: &MetricsRegistry) -> u64 {
+    counter(metrics, "segmentstore.store.tail_read_threads")
+}
+
+/// Waits until `name` counts at least `want`.
+fn await_counter(metrics: &MetricsRegistry, name: &str, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter(metrics, name) < want {
+        assert!(Instant::now() < deadline, "{name} never reached {want}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn create(conn: &Connection, seg: &pravega_common::id::ScopedSegment) {
+    let reply = conn
+        .call(
+            1,
+            Request::CreateSegment {
+                segment: seg.clone(),
+                is_table: false,
+            },
+        )
+        .unwrap();
+    assert_eq!(reply, Reply::SegmentCreated);
+}
+
+fn append(store: &SegmentStore, seg: &pravega_common::id::ScopedSegment, data: &'static [u8]) {
+    let reply = store.call(Request::AppendBlock {
+        writer_id: WriterId::random(),
+        segment: seg.clone(),
+        last_event_number: 0,
+        event_count: 1,
+        data: Bytes::from_static(data),
+        expected_offset: None,
+    });
+    assert!(matches!(reply, Reply::DataAppended { .. }), "{reply:?}");
+}
+
+fn waiting_read(conn: &Connection, request_id: u64, seg: &pravega_common::id::ScopedSegment) {
+    conn.send(RequestEnvelope {
+        request_id,
+        request: Request::ReadSegment {
+            segment: seg.clone(),
+            offset: 0,
+            max_bytes: 100,
+            wait_for_data: true,
+        },
+    })
+    .unwrap();
+}
+
+/// A read that may wait but finds bytes is answered on the connection
+/// itself, as a read that may not wait would be: no tail thread.
+#[test]
+fn a_waiting_read_with_bytes_available_is_answered_without_a_tail_thread() {
+    let metrics = MetricsRegistry::new();
+    let store = new_store_with_metrics(1, &metrics);
+    store.reconcile_containers(&[0]).unwrap();
+    let conn = store.connect().unwrap();
+    let seg = segment("ready");
+    create(&conn, &seg);
+    append(&store, &seg, b"ready");
+    waiting_read(&conn, 2, &seg);
+    let env = conn
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap()
+        .expect("reply within timeout");
+    match env.reply {
+        Reply::SegmentRead { data, .. } => assert_eq!(data.as_ref(), b"ready"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(tail_read_threads(&metrics), 0);
+    store.shutdown();
+}
+
+/// Reads parked at the tail share their connection's one tail thread, and
+/// one append answers every one of them.
+#[test]
+fn connections_that_park_many_reads_spawn_one_tail_thread_each() {
+    let metrics = MetricsRegistry::new();
+    let store = new_store_with_metrics(1, &metrics);
+    store.reconcile_containers(&[0]).unwrap();
+    let seg = segment("parked");
+    let conns = [store.connect().unwrap(), store.connect().unwrap()];
+    create(&conns[0], &seg);
+    let per_conn = 8u64;
+    for conn in &conns {
+        for id in 0..per_conn {
+            waiting_read(conn, 10 + id, &seg);
+        }
+    }
+    // Each tail thread waits on its connection's first read, the others
+    // queue behind it.
+    await_counter(&metrics, "segmentstore.readindex.tail_read_waits", 2);
+    append(&store, &seg, b"wake");
+    for conn in &conns {
+        for _ in 0..per_conn {
+            let env = conn
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap()
+                .expect("the append answers every parked read");
+            match env.reply {
+                Reply::SegmentRead { data, .. } => assert_eq!(data.as_ref(), b"wake"),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+    assert_eq!(
+        tail_read_threads(&metrics),
+        2,
+        "one tail thread per connection"
+    );
+    store.shutdown();
+}
+
+/// Stopping a container answers the reads parked on its segments at once,
+/// not when their wait bound passes.
+#[test]
+fn a_parked_read_is_answered_when_its_container_stops() {
+    let metrics = MetricsRegistry::new();
+    let store = new_store_with_metrics(1, &metrics);
+    store.reconcile_containers(&[0]).unwrap();
+    let conn = store.connect().unwrap();
+    let seg = segment("stopping");
+    create(&conn, &seg);
+    waiting_read(&conn, 2, &seg);
+    await_counter(&metrics, "segmentstore.readindex.tail_read_waits", 1);
+    let stopped = Instant::now();
+    store.shutdown();
+    let env = conn
+        .recv_timeout(Duration::from_secs(1))
+        .unwrap()
+        .expect("the stop answers the parked read");
+    assert_eq!(env.reply, Reply::ContainerNotReady);
+    assert!(stopped.elapsed() < Duration::from_secs(1));
 }

@@ -1,7 +1,7 @@
 //! The reader keeps one `ReadSegment` in flight per assigned segment. These
 //! tests pin what happens to that read when the segment under it changes
 //! hands, ends, loses its head or its connection — and that a caught-up
-//! reader does not turn the pipeline into a busy poll.
+//! reader parks that one read at the store instead of polling.
 //!
 //! Two test doubles make "with a read in flight" a state the test puts the
 //! reader in rather than a race it hopes for: a gate that parks the reader's
@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -326,7 +326,12 @@ fn framed(payloads: &[&[u8]]) -> Bytes {
 /// Takes the next request off the scripted store and checks it is the read
 /// the reader should have in flight.
 fn expect_read(server: &ServerEnd, at: u64) -> u64 {
-    let envelope = server.recv().unwrap();
+    check_read(server.recv().unwrap(), at)
+}
+
+/// Checks that `envelope` is a read at `at` that asks the store to wait for
+/// data, and returns its request id.
+fn check_read(envelope: RequestEnvelope, at: u64) -> u64 {
     match envelope.request {
         Request::ReadSegment {
             offset,
@@ -334,7 +339,10 @@ fn expect_read(server: &ServerEnd, at: u64) -> u64 {
             ..
         } => {
             assert_eq!(offset, at, "read sent for the wrong offset");
-            assert!(!wait_for_data);
+            assert!(
+                wait_for_data,
+                "a read that does not wait turns the tail into a poll"
+            );
         }
         other => panic!("expected a read, got {other:?}"),
     }
@@ -420,45 +428,71 @@ fn store_disconnect_with_a_read_in_flight_is_an_error_not_a_hang() {
     f.cluster.shutdown();
 }
 
-#[test]
-fn caught_up_reader_polls_no_faster_than_before() {
-    let (f, mut reader, server) = scripted_reader("tailing");
-    let polling = std::thread::spawn(move || loop {
-        match reader.read_next(Duration::from_millis(50)) {
-            Ok(None) => {}
-            other => return other,
+/// The requests the scripted store receives, forwarded so that the test can
+/// wait for one with a timeout.
+fn forward_requests(server: &ServerEnd) -> mpsc::Receiver<RequestEnvelope> {
+    let (tx, rx) = mpsc::channel();
+    let server = server.clone();
+    std::thread::spawn(move || {
+        while let Ok(envelope) = server.recv() {
+            if tx.send(envelope).is_err() {
+                break;
+            }
         }
     });
-    // One read is in flight. Unanswered, it stays the only one: had more
-    // been sent meanwhile, the next would be waiting here already instead of
-    // arriving a poll period after the answer.
-    let id = expect_read(&server, 0);
-    std::thread::sleep(Duration::from_millis(100));
-    let answered = Instant::now();
-    answer(&server, id, 0, Bytes::new(), false);
-    let id = expect_read(&server, 0);
-    assert!(
-        answered.elapsed() >= Duration::from_millis(1),
-        "a second read was sent while the first was in flight"
-    );
-    answer(&server, id, 0, Bytes::new(), false);
-    // Answered "nothing new" every time, the reader asks once per period.
-    let mut requests = 0u32;
-    while answered.elapsed() < Duration::from_millis(200) {
-        let id = expect_read(&server, 0);
-        requests += 1;
-        answer(&server, id, 0, Bytes::new(), false);
-    }
-    let elapsed_ms = answered.elapsed().as_millis() as u32;
-    assert!(requests >= 2, "the reader stopped polling its tail");
-    assert!(
-        requests <= elapsed_ms,
-        "{requests} reads in {elapsed_ms} ms: faster than one per millisecond"
-    );
+    rx
+}
+
+/// A caught-up reader parks one read at the store and waits on it: held
+/// unanswered it stays the only request, the data in its answer reaches the
+/// application with no other request sent first, and an empty answer (the
+/// store's wait bound passed) brings exactly one new read.
+#[test]
+fn caught_up_reader_parks_one_read_at_the_store() {
+    let (f, mut reader, server) = scripted_reader("tailing");
+    let requests = forward_requests(&server);
+    let stop = Arc::new(AtomicBool::new(false));
+    let (events_tx, events) = mpsc::channel();
+    let reading = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                if let Some(e) = reader.read_next(Duration::from_millis(20)).unwrap() {
+                    events_tx.send(e.event).unwrap();
+                }
+            }
+        })
+    };
+    let quiet = || {
+        assert!(
+            requests.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a second read was sent while one was parked"
+        )
+    };
+
+    let id = next_read(&requests, 0);
+    quiet();
+    let data = framed(&[b"e1"]);
+    answer(&server, id, 0, data.clone(), false);
+    let e = events.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(e.as_ref(), b"e1");
+    let at = data.len() as u64;
+    let id = next_read(&requests, at);
+    quiet();
+    answer(&server, id, at, Bytes::new(), false);
+    next_read(&requests, at);
+    quiet();
+
+    stop.store(true, Ordering::SeqCst);
+    reading.join().unwrap();
     drop(server);
-    assert!(matches!(
-        polling.join().unwrap(),
-        Err(ClientError::Disconnected(_))
-    ));
     f.cluster.shutdown();
+}
+
+/// [`expect_read`] over the forwarded requests.
+fn next_read(requests: &mpsc::Receiver<RequestEnvelope>, at: u64) -> u64 {
+    let envelope = requests
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the reader sends its next read");
+    check_read(envelope, at)
 }
