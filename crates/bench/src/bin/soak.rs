@@ -12,12 +12,12 @@
 //! the cluster's `segmentstore.stalls.*` instruments once a second, so each
 //! spike second in the timeline carries the stall classes (throttle, flush,
 //! truncation, cache_evict, wal_rollover) that were active around it; the
-//! run fails its dispersion gate if a spike has no attributed class.
+//! run fails its gate if a spike has no attributed class.
 //!
 //! The store runs with gradual throttle engagement and token-bucket-paced
-//! flushes — the configuration the dispersion gate holds. (The on/off
-//! throttle and unpaced flusher it replaced measured a typical dispersion of
-//! ~100 against 2–10 here; DESIGN.md §14.3 keeps the numbers.)
+//! flushes — the configuration the soak gate holds. (The on/off
+//! throttle and unpaced flusher it replaced measured a p999 of 333 ms
+//! against 8–25 ms here; DESIGN.md §14.3 keeps the numbers.)
 //!
 //! Results: `BENCH_soak.json` at the repo root (summary + timeline, read by
 //! `cargo run -p xtask -- bench-gate --soak`) and

@@ -3,9 +3,9 @@
 //! rate-sweep helpers.
 //!
 //! Every table and figure of the paper's evaluation (§5) has a regeneration
-//! target in `benches/figures.rs` (run with `cargo bench --bench figures`);
-//! component micro-benchmarks live in `benches/micro.rs` (criterion). Both
-//! write their series into `bench_results/` at the workspace root.
+//! target in `benches/figures.rs` (run with `cargo bench --bench figures`),
+//! which writes its series into `bench_results/` at the workspace root.
+//! Per-layer timings of the engine are `streambench`'s (its own package).
 
 use std::io::Write;
 use std::path::PathBuf;

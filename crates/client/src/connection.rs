@@ -92,10 +92,10 @@ mod tests {
     use pravega_common::wire::connection_pair;
     use std::time::Duration;
 
-    /// Regression for the shutdown-path `recv()` audit (`blocking-cycle`
-    /// lint): a client blocked in `Connection::recv` must observe disconnect
-    /// when the server end goes away — e.g. a frontend stopping — instead of
-    /// blocking forever. The watchdog turns a hang into a failure.
+    /// Regression for the shutdown-path `recv()` audit: a client blocked in
+    /// `Connection::recv` must observe disconnect when the server end goes
+    /// away — e.g. a frontend stopping — instead of blocking forever. The
+    /// watchdog turns a hang into a failure.
     #[test]
     fn call_errors_on_disconnect_instead_of_hanging() {
         let (conn, server) = connection_pair();

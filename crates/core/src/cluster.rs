@@ -14,8 +14,8 @@ use pravega_common::id::{ScopedSegment, ScopedStream, SegmentId};
 use pravega_common::metrics::{Histogram, HistogramSummary, MetricsRegistry, Snapshot};
 use pravega_common::policy::StreamConfiguration;
 use pravega_controller::{
-    AutoScaler, AutoScalerConfig, ControllerService, InMemoryMetadataBackend, MetadataBackend,
-    RetentionManager, ScaleDecision, SegmentLoadSample,
+    AutoScaler, AutoScalerConfig, ControllerService, MetadataBackend, RetentionManager,
+    ScaleDecision, SegmentLoadSample,
 };
 use pravega_coordination::{ContainerAssigner, CoordinationService};
 use pravega_faults::{FaultPlan, FaultyBookie, FaultyChunkStorage};
@@ -84,9 +84,6 @@ pub struct ClusterConfig {
     pub container: ContainerConfig,
     /// WAL ledger rollover size.
     pub log_rollover_bytes: u64,
-    /// Store controller metadata in a Pravega table segment (as the paper
-    /// describes) instead of an in-memory map.
-    pub table_metadata: bool,
     /// Auto-scaler tuning.
     pub autoscaler: AutoScalerConfig,
     /// Deterministic fault injection on the LTS chunk backend (chaos tests).
@@ -121,7 +118,6 @@ impl Default for ClusterConfig {
             max_chunk_bytes: 4 * 1024 * 1024,
             container: ContainerConfig::default(),
             log_rollover_bytes: 1024 * 1024,
-            table_metadata: true,
             autoscaler: AutoScalerConfig::default(),
             lts_faults: None,
             wal_faults: None,
@@ -367,14 +363,13 @@ impl PravegaCluster {
         });
         let clock = Arc::new(SystemClock::new());
 
-        let backend: Arc<dyn MetadataBackend> = if config.table_metadata {
-            let table = ScopedStream::new("sys", "stream-metadata")
-                .expect("static name is valid")
-                .segment(SegmentId::new(0, 0));
-            Arc::new(TableMetadataBackend::create(routing.clone(), table)?)
-        } else {
-            Arc::new(InMemoryMetadataBackend::new())
-        };
+        // Controller metadata lives in a Pravega table segment, as the paper
+        // describes.
+        let table = ScopedStream::new("sys", "stream-metadata")
+            .expect("static name is valid")
+            .segment(SegmentId::new(0, 0));
+        let backend: Arc<dyn MetadataBackend> =
+            Arc::new(TableMetadataBackend::create(routing.clone(), table)?);
 
         let controller = Arc::new(ControllerService::new(
             backend,
@@ -967,12 +962,11 @@ mod tests {
     use pravega_client::StringSerializer;
     use pravega_common::policy::ScalingPolicy;
 
-    /// Regression for the shutdown ordering the `blocking-cycle` lint pins
-    /// end to end: with the transport queues now bounded, `shutdown()` must
-    /// stop frontends and stores in an order that releases each pump's
-    /// sender before joining it. A join-before-release reorder anywhere in
-    /// the chain (frontend, durable log, journal, ledger workers) would hang
-    /// here; the watchdog turns that into a failure.
+    /// Pins the shutdown ordering end to end: with the transport queues
+    /// bounded, `shutdown()` must stop frontends and stores in an order that
+    /// releases each pump's sender before joining it. A join-before-release
+    /// reorder anywhere in the chain (frontend, durable log, journal, ledger
+    /// workers) would hang here; the watchdog turns that into a failure.
     #[test]
     fn shutdown_completes_promptly_after_client_traffic() {
         let cluster = PravegaCluster::start(ClusterConfig::default()).unwrap();

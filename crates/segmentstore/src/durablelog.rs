@@ -984,7 +984,7 @@ mod tests {
         }
     }
 
-    /// Regression for the shutdown ordering the `blocking-cycle` lint pins:
+    /// Pins the shutdown ordering (DESIGN.md §10 lists the join sites):
     /// `stop()` must take the op sender *before* joining the builder thread
     /// (whose exit drops `commit_tx`, which in turn lets the commit thread
     /// drain and exit). Joining a pump first would deadlock with it blocked

@@ -25,7 +25,6 @@
 //! - recovery replays the WAL from the last **metadata checkpoint** (§4.4),
 //!   and WAL fencing guarantees exclusive container ownership.
 
-pub mod avl;
 pub mod cache;
 pub mod container;
 pub mod dataframe;

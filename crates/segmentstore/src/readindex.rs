@@ -2,13 +2,15 @@
 //!
 //! "The read index provides a complete view of all the data in a segment,
 //! both from WAL and LTS, without the reader having to know where such data
-//! resides." Entries are indexed by their start offsets in a custom AVL tree;
+//! resides." Entries are indexed by their start offsets in an ordered map
+//! (DESIGN.md §2 says why std's B-tree rather than the paper's AVL tree);
 //! the data itself lives in the block cache (with a heap fallback when the
 //! cache is full — correctness requires that unflushed data stays readable).
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 
-use crate::avl::AvlTree;
 use crate::cache::{BlockCache, CacheAddress, CacheError};
 
 /// Where an index entry's bytes live.
@@ -42,7 +44,7 @@ pub enum IndexRead {
 /// The read index of a single segment.
 #[derive(Debug, Default)]
 pub struct ReadIndex {
-    entries: AvlTree<IndexEntry>,
+    entries: BTreeMap<u64, IndexEntry>,
     /// Bytes resident (cache + heap).
     resident_bytes: u64,
     /// Bytes resident on the heap (fallback).
@@ -81,23 +83,21 @@ impl ReadIndex {
         if data.is_empty() {
             return;
         }
-        if let Some((key, entry)) = self.entries.last() {
+        if let Some((key, entry)) = self.entries.iter_mut().next_back() {
             let end = key + entry.length;
             if end == offset && entry.length + (data.len() as u64) <= MAX_ENTRY_BYTES {
                 // O(1) append to the entry's last block chain (Figure 4).
-                if let Some(entry) = self.entries.get_mut(key) {
-                    if let Location::Cache(addr) = entry.location {
-                        match cache.append(addr, data) {
-                            Ok(new_addr) => {
-                                entry.location = Location::Cache(new_addr);
-                                entry.length += data.len() as u64;
-                                entry.touched = cache.touch();
-                                self.resident_bytes += data.len() as u64;
-                                return;
-                            }
-                            Err(CacheError::CacheFull) => { /* fall through: new entry */ }
-                            Err(_) => { /* stale address: fall through */ }
+                if let Location::Cache(addr) = entry.location {
+                    match cache.append(addr, data) {
+                        Ok(new_addr) => {
+                            entry.location = Location::Cache(new_addr);
+                            entry.length += data.len() as u64;
+                            entry.touched = cache.touch();
+                            self.resident_bytes += data.len() as u64;
+                            return;
                         }
+                        Err(CacheError::CacheFull) => { /* fall through: new entry */ }
+                        Err(_) => { /* stale address: fall through */ }
                     }
                 }
             }
@@ -109,12 +109,12 @@ impl ReadIndex {
     /// never overlaps a resident entry: one that covers `offset` keeps the
     /// fill out altogether, one that starts further up cuts the fill short.
     pub fn insert_from_storage(&mut self, cache: &mut BlockCache, offset: u64, data: &[u8]) {
-        if let Some((key, entry)) = self.entries.floor(offset) {
+        if let Some((key, entry)) = self.entries.range(..=offset).next_back() {
             if key + entry.length > offset {
                 return; // keep the authoritative resident copy
             }
         }
-        let gap = match self.entries.ceiling(offset) {
+        let gap = match self.entries.range(offset..).next() {
             Some((key, _)) => ((key - offset) as usize).min(data.len()),
             None => data.len(),
         };
@@ -148,7 +148,7 @@ impl ReadIndex {
     /// worth of data (callers loop); `Miss` means the data must come from
     /// LTS.
     pub fn read(&mut self, cache: &BlockCache, offset: u64, max_len: usize) -> IndexRead {
-        let Some((key, entry)) = self.entries.floor(offset) else {
+        let Some((key, entry)) = self.entries.range_mut(..=offset).next_back() else {
             return IndexRead::Miss;
         };
         let end = key + entry.length;
@@ -163,9 +163,7 @@ impl ReadIndex {
             },
             Location::Heap(b) => b.slice(start..start.saturating_add(max_len).min(b.len())),
         };
-        if let Some(e) = self.entries.get_mut(key) {
-            e.touched = cache.touch();
-        }
+        entry.touched = cache.touch();
         IndexRead::Hit(slice)
     }
 
@@ -175,8 +173,8 @@ impl ReadIndex {
         let doomed: Vec<u64> = self
             .entries
             .iter()
-            .filter(|(k, e)| k + e.length <= offset)
-            .map(|(k, _)| k)
+            .filter(|(k, e)| *k + e.length <= offset)
+            .map(|(k, _)| *k)
             .collect();
         self.remove_all(cache, doomed)
     }
@@ -187,7 +185,7 @@ impl ReadIndex {
     pub fn evictable(&self, flushed_offset: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.entries
             .iter()
-            .filter(move |(k, e)| k + e.length <= flushed_offset)
+            .filter(move |(k, e)| *k + e.length <= flushed_offset)
             .map(|(_, e)| (e.touched, e.length))
     }
 
@@ -202,8 +200,8 @@ impl ReadIndex {
         let doomed: Vec<u64> = self
             .entries
             .iter()
-            .filter(|(k, e)| k + e.length <= flushed_offset && e.touched <= cutoff)
-            .map(|(k, _)| k)
+            .filter(|(k, e)| *k + e.length <= flushed_offset && e.touched <= cutoff)
+            .map(|(k, _)| *k)
             .collect();
         self.remove_all(cache, doomed)
     }
@@ -211,7 +209,7 @@ impl ReadIndex {
     fn remove_all(&mut self, cache: &mut BlockCache, keys: Vec<u64>) -> u64 {
         let mut freed = 0;
         for key in keys {
-            if let Some(entry) = self.entries.remove(key) {
+            if let Some(entry) = self.entries.remove(&key) {
                 freed += entry.length;
                 self.release(cache, &entry);
             }

@@ -13,7 +13,9 @@ use pravega_common::wire::{Connection, Reply, Request, RequestEnvelope, TableUpd
 use pravega_lts::{
     ChunkedSegmentStorage, ChunkedStorageConfig, InMemoryChunkStorage, InMemoryMetadataStore,
 };
-use pravega_segmentstore::{ContainerConfig, SegmentContainer, SegmentStore, SegmentStoreConfig};
+use pravega_segmentstore::{
+    ContainerConfig, SegmentContainer, SegmentStore, SegmentStoreConfig, TcpFrontend,
+};
 use pravega_wal::log::InMemoryLog;
 
 fn new_store(container_count: u32) -> Arc<SegmentStore> {
@@ -519,6 +521,72 @@ fn connections_that_park_many_reads_spawn_one_tail_thread_each() {
         2,
         "one tail thread per connection"
     );
+    store.shutdown();
+}
+
+/// A connection's teardown releases each queue before joining the thread
+/// that drains it: the ack pump after `ack_tx`, the tail thread after
+/// `tail_tx`. A client over TCP parks a read at the tail, has an append
+/// acknowledged, and drops its connection; the connection must be gone
+/// within the watchdog's 10 s. Joining either thread first hangs it.
+///
+/// The append's ack is received before the drop on purpose: an ack written
+/// after it would fail on the closed socket and end the socket's writer
+/// thread, and the parked read's reply would then fail too, letting the
+/// tail thread exit whatever order the teardown used.
+#[test]
+fn a_dropped_tcp_connection_with_a_parked_read_tears_down() {
+    let metrics = MetricsRegistry::new();
+    let store = new_store_with_metrics(1, &metrics);
+    store.reconcile_containers(&[0]).unwrap();
+    let frontend = TcpFrontend::start(store.clone(), &metrics).unwrap();
+    let conn = pravega_common::tcp::connect(frontend.local_addr()).unwrap();
+    let (parked, written) = (segment("parked"), segment("written"));
+    create(&conn, &parked);
+    create(&conn, &written);
+    waiting_read(&conn, 2, &parked);
+    await_counter(&metrics, "segmentstore.readindex.tail_read_waits", 1);
+    conn.send(RequestEnvelope {
+        request_id: 3,
+        request: Request::AppendBlock {
+            writer_id: WriterId::random(),
+            segment: written,
+            last_event_number: 0,
+            event_count: 1,
+            data: Bytes::from_static(b"acked"),
+            expected_offset: None,
+        },
+    })
+    .unwrap();
+    loop {
+        let env = conn
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("the append is acknowledged");
+        match env.reply {
+            Reply::DataAppended { .. } => break,
+            // The parked read's wait bound passed first on a slow host.
+            Reply::SegmentRead { .. } => {}
+            other => panic!("{other:?}"),
+        }
+    }
+    drop(conn);
+
+    let active = || {
+        metrics
+            .snapshot()
+            .gauge("segmentstore.frontend.connections_active")
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while active() != Some(0) {
+        assert!(
+            Instant::now() < deadline,
+            "connection teardown hung: connections_active = {:?}",
+            active()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    frontend.stop();
     store.shutdown();
 }
 

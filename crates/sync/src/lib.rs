@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! Rank-checked lock facade for the Pravega workspace.
 //!
 //! Every lock in the repo is a [`Mutex`], [`RwLock`] or [`Condvar`] from this
@@ -166,7 +167,6 @@ mod tracker {
     #[inline(always)]
     pub(crate) fn released(_token: Token) {}
 
-    #[allow(dead_code)]
     #[inline(always)]
     pub(crate) fn held_count() -> usize {
         0

@@ -344,7 +344,7 @@ mod tests {
         let _ = sync_count; // journal thread joined cleanly
     }
 
-    /// Regression for the shutdown ordering the `blocking-cycle` lint pins:
+    /// Pins the shutdown ordering (DESIGN.md §10 lists the join sites):
     /// `Drop` must release `tx` *before* joining the journal thread, so the
     /// recv loop sees disconnect once the queue drains. Joining first would
     /// deadlock forever (the thread blocks in `recv()` on a channel the

@@ -857,7 +857,7 @@ mod tests {
         (coord, pool, mgr)
     }
 
-    /// Regression for the shutdown ordering the `blocking-cycle` lint pins:
+    /// Pins the shutdown ordering (DESIGN.md §10 lists the join sites):
     /// `shutdown()` must take every worker `tx` *before* joining the worker
     /// threads (and only then join the ack collector, whose channel closes
     /// when the last worker drops its `ack_tx` clone). Joining first would

@@ -26,15 +26,6 @@ use crate::lexer::{Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// A lock acquisition site inside a function.
-#[derive(Debug, Clone)]
-pub struct Acquire {
-    /// Rank constant name (`CONTAINER_CORE`) if resolvable, else `None`.
-    pub rank: Option<String>,
-    pub line: u32,
-    pub col: u32,
-}
-
 /// An acquired-while-held fact: `held` was live when `acquired` was taken.
 #[derive(Debug, Clone)]
 pub struct DirectEdge {
@@ -63,9 +54,6 @@ pub struct BlockingSite {
     pub what: String,
     /// Names (or `<guard>`) of the live guards held across it.
     pub held: Vec<String>,
-    /// Rank constant names of the live guards (unresolvable ranks omitted);
-    /// the blocking graph uses these to draw lock-wait edges.
-    pub held_ranks: Vec<String>,
     pub line: u32,
     pub col: u32,
 }
@@ -77,8 +65,9 @@ pub struct FnSummary {
     /// which never matches a call site.
     pub name: String,
     pub file: PathBuf,
-    pub line: u32,
-    pub acquires: Vec<Acquire>,
+    /// Rank constant names (`CONTAINER_CORE`) this body acquires;
+    /// unresolvable acquisitions are omitted.
+    pub acquires: Vec<String>,
     pub edges: Vec<DirectEdge>,
     pub calls_held: Vec<CallWhileHeld>,
     pub blocking_held: Vec<BlockingSite>,
@@ -103,8 +92,6 @@ pub struct EscapeSite {
 pub struct FileAnalysis {
     pub fns: Vec<FnSummary>,
     pub escapes: Vec<EscapeSite>,
-    /// `field name → rank constant` discovered in this file.
-    pub lock_fields: BTreeMap<String, String>,
 }
 
 const GUARD_TYPES: [&str; 3] = ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
@@ -249,7 +236,6 @@ pub fn analyze_file(rel: &Path, toks: &[Token<'_>], global_locks: &LockMap) -> F
                 let mut summary = FnSummary {
                     name,
                     file: rel.to_path_buf(),
-                    line: sig[i].line,
                     ..Default::default()
                 };
                 let mut spawned = Vec::new();
@@ -271,11 +257,7 @@ pub fn analyze_file(rel: &Path, toks: &[Token<'_>], global_locks: &LockMap) -> F
         }
         i += 1;
     }
-    FileAnalysis {
-        fns,
-        escapes,
-        lock_fields,
-    }
+    FileAnalysis { fns, escapes }
 }
 
 /// Workspace-wide `field → rank` map with ambiguity tracking, used as a
@@ -737,7 +719,6 @@ fn analyze_body(
                     let mut detached = FnSummary {
                         name: format!("{}@spawn:{}", summary.name, t.line),
                         file: summary.file.clone(),
-                        line: t.line,
                         ..Default::default()
                     };
                     analyze_body(sig, i + 2, close, resolve, &mut detached, spawn_out);
@@ -806,12 +787,8 @@ fn analyze_body(
                         None
                     };
                     let rank = field.as_deref().and_then(resolve);
-                    summary.acquires.push(Acquire {
-                        rank: rank.clone(),
-                        line: t.line,
-                        col: t.col,
-                    });
                     if let Some(acquired) = &rank {
+                        summary.acquires.push(acquired.clone());
                         for g in &live {
                             if let Some(held) = &g.rank {
                                 summary.edges.push(DirectEdge {
@@ -962,12 +939,10 @@ fn record_blocking(
         })
         .collect();
     let held: Vec<String> = kept.iter().map(|g| g.label()).collect();
-    let held_ranks: Vec<String> = kept.iter().filter_map(|g| g.rank.clone()).collect();
     if !held.is_empty() {
         summary.blocking_held.push(BlockingSite {
             what: what.to_string(),
             held,
-            held_ranks,
             line: tok.line,
             col: tok.col,
         });
@@ -1069,21 +1044,13 @@ mod tests {
 
     #[test]
     fn lock_fields_resolved_through_wrappers() {
-        let a = analyze(
-            "struct S { a: Mutex<u32>, b: RwLock<u8> }\n\
+        let fields = lock_fields_of(&lex("struct S { a: Mutex<u32>, b: RwLock<u8> }\n\
              fn mk() { let s = S { a: Mutex::new(rank::WAL_LOG, 0), \
              b: Arc::new(RwLock::new(rank::WAL_BOOKIE, 0)) }; }\n\
-             fn local() { let m = Mutex::new(rank::LTS_CHUNKS, 0); }",
-        );
-        assert_eq!(a.lock_fields.get("a").map(String::as_str), Some("WAL_LOG"));
-        assert_eq!(
-            a.lock_fields.get("b").map(String::as_str),
-            Some("WAL_BOOKIE")
-        );
-        assert_eq!(
-            a.lock_fields.get("m").map(String::as_str),
-            Some("LTS_CHUNKS")
-        );
+             fn local() { let m = Mutex::new(rank::LTS_CHUNKS, 0); }"));
+        assert_eq!(fields.get("a").map(String::as_str), Some("WAL_LOG"));
+        assert_eq!(fields.get("b").map(String::as_str), Some("WAL_BOOKIE"));
+        assert_eq!(fields.get("m").map(String::as_str), Some("LTS_CHUNKS"));
     }
 
     #[test]
@@ -1106,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn acquisition_sites_carry_spans() {
+    fn acquisitions_resolve_to_their_rank() {
         let src = format!(
             "{DECL}
             impl S {{
@@ -1117,10 +1084,7 @@ mod tests {
         );
         let a = analyze(&src);
         let f = a.fns.iter().find(|f| f.name == "f").unwrap();
-        assert!(f.line > 1, "{f:?}");
-        assert_eq!(f.acquires.len(), 1);
-        assert!(f.acquires[0].line > f.line, "{f:?}");
-        assert!(f.acquires[0].col > 1, "{f:?}");
+        assert_eq!(f.acquires, ["WAL_LOG"], "{f:?}");
     }
 
     #[test]

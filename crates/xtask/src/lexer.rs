@@ -1,4 +1,4 @@
-//! A hand-rolled, dependency-free Rust lexer producing spanned tokens.
+//! A hand-rolled, dependency-free Rust lexer producing positioned tokens.
 //!
 //! The lexer is *lossless*: every byte of the input belongs to exactly one
 //! token, tokens are emitted in order, and concatenating their texts
@@ -37,16 +37,12 @@ pub enum TokenKind {
     Punct,
 }
 
-/// One lexeme with its byte span and 1-based line/column position.
+/// One lexeme with its 1-based line/column position.
 #[derive(Debug, Clone, Copy)]
 pub struct Token<'a> {
     pub kind: TokenKind,
     /// The exact source text of the token.
     pub text: &'a str,
-    /// Byte offset of the first byte.
-    pub start: usize,
-    /// Byte offset one past the last byte.
-    pub end: usize,
     /// 1-based line of the first byte.
     pub line: u32,
     /// 1-based column (in characters) of the first byte.
@@ -100,8 +96,6 @@ impl<'a> Lexer<'a> {
             out.push(Token {
                 kind,
                 text,
-                start,
-                end,
                 line,
                 col,
             });
@@ -404,17 +398,11 @@ mod tests {
             .collect()
     }
 
-    /// The tiling invariant: spans are contiguous, start at 0, end at len,
-    /// and the texts concatenate to the input.
+    /// The tiling invariant: every token is non-empty and the texts
+    /// concatenate to the input.
     fn assert_tiles(src: &str) {
         let toks = lex(src);
-        let mut pos = 0;
-        for t in &toks {
-            assert_eq!(t.start, pos, "gap before {:?} in {src:?}", t.text);
-            assert_eq!(t.end - t.start, t.text.len());
-            pos = t.end;
-        }
-        assert_eq!(pos, src.len(), "input not fully consumed: {src:?}");
+        assert!(toks.iter().all(|t| !t.text.is_empty()), "{src:?}");
         let joined: String = toks.iter().map(|t| t.text).collect();
         assert_eq!(joined, src);
     }
@@ -534,15 +522,8 @@ mod tests {
                     }
                 } else if name.to_string_lossy().ends_with(".rs") {
                     let src = std::fs::read_to_string(&path).unwrap();
-                    let toks = lex(&src);
-                    let mut pos = 0;
-                    for t in &toks {
-                        assert_eq!(t.start, pos, "span gap in {}", path.display());
-                        pos = t.end;
-                    }
-                    assert_eq!(pos, src.len(), "trailing gap in {}", path.display());
-                    let joined: String = toks.iter().map(|t| t.text).collect();
-                    assert_eq!(joined, src, "round-trip mismatch in {}", path.display());
+                    let joined: String = lex(&src).iter().map(|t| t.text).collect();
+                    assert!(joined == src, "round-trip mismatch in {}", path.display());
                     checked += 1;
                 }
             }
@@ -608,15 +589,7 @@ mod tests {
             let src: String = (0..n)
                 .map(|_| fragments[next() as usize % fragments.len()])
                 .collect();
-            let toks = lex(&src);
-            let mut pos = 0;
-            for t in &toks {
-                assert_eq!(t.start, pos, "span gap lexing {src:?}");
-                pos = t.end;
-            }
-            assert_eq!(pos, src.len(), "incomplete lex of {src:?}");
-            let joined: String = toks.iter().map(|t| t.text).collect();
-            assert_eq!(joined, src);
+            assert_tiles(&src);
         }
     }
 

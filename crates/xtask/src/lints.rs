@@ -171,10 +171,6 @@ pub struct ScanReport {
     pub hot: Vec<String>,
     /// Per-function hot-path allocation counts (the baseline content model).
     pub hotpath_counts: std::collections::BTreeMap<String, usize>,
-    /// The unified blocking wait-for graph, one edge per line.
-    pub block_graph: Vec<String>,
-    /// The generated DESIGN.md channel-capacity table rows.
-    pub channel_table: Vec<String>,
 }
 
 /// Scans every `.rs` file under `root`.
@@ -187,16 +183,7 @@ pub fn scan_tree(
     fixture_mode: bool,
     allow: &Allowlist,
 ) -> std::io::Result<ScanReport> {
-    let mut files = Vec::new();
-    collect_rs_files(root, fixture_mode, &mut files)?;
-    files.sort();
-    let mut texts: Vec<(PathBuf, String)> = Vec::with_capacity(files.len());
-    for file in &files {
-        let text = fs::read_to_string(file)?;
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-        texts.push((rel, text));
-    }
-
+    let texts = read_tree(root, fixture_mode)?;
     let mut violations = Vec::new();
     for (rel, text) in &texts {
         scan_file(rel, text, fixture_mode, allow, &mut violations);
@@ -217,42 +204,25 @@ pub fn scan_tree(
             .to_string()
     };
 
-    // blocking-cycle / channel-discipline: the unified wait-for graph over
-    // channel endpoints, pump joins, condvars, and guard-pass lock waits.
-    // Edges whose blocking site is allowlisted drop out before cycle
-    // detection, mirroring how lock-order handles justified inversions.
-    let block_an = crate::blockgraph::analyze(&texts, fixture_mode);
-    let block_edges: Vec<crate::blockgraph::BlockEdge> =
-        crate::blockgraph::build_edges(&block_an, &all_fns)
-            .into_iter()
-            .filter(|e| !allow.permits(&e.file, &line_text(&e.file, e.line)))
-            .collect();
-    for p in crate::blockgraph::cycles(&block_edges) {
-        violations.push(Violation {
-            path: p.file.clone(),
-            line: p.line as usize,
-            col: p.col as usize,
-            rule: "blocking-cycle",
-            message: p.message,
-            snippet: line_text(&p.file, p.line),
-        });
-    }
-    for p in crate::blockgraph::discipline(&block_an) {
-        let snippet = line_text(&p.file, p.line);
-        if allow.permits(&p.file, &snippet) {
+    // channel-discipline: every channel creation site, checked where it is
+    // written.
+    for ch in &crate::channels::scan(&texts, fixture_mode) {
+        let Some(message) = ch.problem() else {
+            continue;
+        };
+        let snippet = line_text(&ch.file, ch.line);
+        if allow.permits(&ch.file, &snippet) {
             continue;
         }
         violations.push(Violation {
-            path: p.file.clone(),
-            line: p.line as usize,
-            col: p.col as usize,
+            path: ch.file.clone(),
+            line: ch.line as usize,
+            col: ch.col as usize,
             rule: "channel-discipline",
-            message: p.message,
+            message,
             snippet,
         });
     }
-    let block_graph = crate::blockgraph::render(&block_edges);
-    let channel_table = crate::blockgraph::capacity_table(&block_an);
 
     // relaxed-atomics: Relaxed orderings outside recognizable counters.
     for (rel, text) in &texts {
@@ -318,9 +288,21 @@ pub fn scan_tree(
         graph,
         hot,
         hotpath_counts,
-        block_graph,
-        channel_table,
     })
+}
+
+/// Every `.rs` file under `root` as `(path relative to root, text)`, sorted.
+fn read_tree(root: &Path, fixture_mode: bool) -> std::io::Result<Vec<(PathBuf, String)>> {
+    let mut files = Vec::new();
+    collect_rs_files(root, fixture_mode, &mut files)?;
+    files.sort();
+    files
+        .iter()
+        .map(|file| {
+            let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
+            Ok((rel, fs::read_to_string(file)?))
+        })
+        .collect()
 }
 
 /// The token-level passes: guard liveness, blocking propagation, escapes and
@@ -1081,7 +1063,6 @@ fn prod(x: Option<u32>) -> u32 { x.unwrap() }
             ("lock_graph_cycle.rs", "lock-order"),
             ("hot_path_alloc.rs", "hot-path-alloc"),
             ("panic_surface.rs", "panic-surface"),
-            ("blocking_cycle.rs", "blocking-cycle"),
             ("channel_discipline.rs", "channel-discipline"),
             ("relaxed_atomics.rs", "relaxed-atomics"),
         ] {
@@ -1137,32 +1118,18 @@ fn prod(x: Option<u32>) -> u32 { x.unwrap() }
             "the fetch_add counter is exempt: {relaxed:?}"
         );
         assert!(relaxed[0].snippet.contains("running.store"));
-        // The blocking cycle names both parties: the joining stop() and
-        // the pump thread it waits on.
-        let cycle = report
-            .violations
-            .iter()
-            .find(|v| v.rule == "blocking-cycle")
-            .expect("blocking_cycle.rs fixture fires");
-        assert!(
-            cycle.message.contains("fixture-pump@spawn"),
-            "{}",
-            cycle.message
-        );
-        assert!(cycle.message.contains("Pumped::stop"), "{}", cycle.message);
     }
 
-    /// Pins the DESIGN.md §10 channel-capacity table to the analyzer's
-    /// generated rows, like the lock-order graph block: the doc cannot
-    /// drift from the code's actual queue inventory.
+    /// Pins the DESIGN.md §10 channel-capacity table to the generated rows,
+    /// like the lock-order graph block: the doc cannot drift from the
+    /// code's actual queue inventory.
     #[test]
     fn design_doc_channel_table_is_current() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(Path::parent)
             .unwrap();
-        let allow = Allowlist::load(&root.join("crates/xtask/lint-allowlist.txt")).unwrap();
-        let report = scan_tree(root, false, &allow).unwrap();
+        let generated = crate::channels::capacity_table(&read_tree(root, false).unwrap(), false);
         let design = fs::read_to_string(root.join("DESIGN.md")).unwrap();
 
         let begin = design
@@ -1176,11 +1143,10 @@ fn prod(x: Option<u32>) -> u32 { x.unwrap() }
             .filter(|l| l.trim_start().starts_with('|'))
             .map(str::trim)
             .collect();
-        let generated: Vec<&str> = report.channel_table.iter().map(String::as_str).collect();
         assert_eq!(
             documented, generated,
             "DESIGN.md §10 channel-capacity table is stale; replace the block \
-             with the table printed by `cargo run -p xtask -- lint --block-graph`"
+             with the generated rows (right-hand side)"
         );
     }
 
@@ -1223,8 +1189,8 @@ fn prod(x: Option<u32>) -> u32 { x.unwrap() }
         assert!(stale[0].message.contains("crates/nowhere/src/lib.rs"));
     }
 
-    /// DESIGN.md §10 embeds the generated lock-order graph and §7 the rank
-    /// table; both must track the analyzer and `rank.rs` exactly.
+    /// DESIGN.md §10 embeds the generated lock-order graph; it must track
+    /// the analyzer exactly.
     #[test]
     fn design_doc_graph_is_current() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -1252,18 +1218,6 @@ fn prod(x: Option<u32>) -> u32 { x.unwrap() }
             "DESIGN.md §10 lock-order graph is stale; replace the block with \
              the output of `cargo run -p xtask -- lint --graph`"
         );
-
-        // Every rank constant must appear (backticked) in the §7 table.
-        let rank_src = fs::read_to_string(root.join("crates/sync/src/rank.rs")).unwrap();
-        let table = lockgraph::RankTable::parse(&rank_src);
-        assert!(!table.is_empty());
-        for (name, order, dotted) in table.names() {
-            assert!(
-                design.contains(&format!("`{name}`")),
-                "rank constant {name} ({order}, {dotted}) missing from the \
-                 DESIGN.md §7 hierarchy table"
-            );
-        }
     }
 
     #[test]

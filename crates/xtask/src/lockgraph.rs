@@ -65,18 +65,6 @@ impl RankTable {
     pub fn dotted(&self, rank: &str) -> Option<&str> {
         self.map.get(rank).map(|(_, d)| d.as_str())
     }
-
-    pub fn names(&self) -> impl Iterator<Item = (&String, u16, &str)> {
-        self.map.iter().map(|(n, (o, d))| (n, *o, d.as_str()))
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// One acquired-while-held edge with a representative source site.
@@ -102,10 +90,8 @@ pub fn build_edges(fns: &[FnSummary]) -> Vec<GraphEdge> {
         if f.name.contains('@') {
             continue;
         }
-        for a in &f.acquires {
-            if let Some(rank) = &a.rank {
-                acquires_by_name.entry(&f.name).or_default().insert(rank);
-            }
+        for rank in &f.acquires {
+            acquires_by_name.entry(&f.name).or_default().insert(rank);
         }
     }
 
@@ -261,9 +247,8 @@ pub fn check(edges: &[GraphEdge], table: &RankTable) -> Vec<GraphProblem> {
 }
 
 /// Iterative Tarjan strongly-connected components; returns SCCs sorted by
-/// their smallest node index for determinism. Shared with the blocking
-/// graph, which runs the same cycle detection over wait-for edges.
-pub(crate) fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+/// their smallest node index for determinism.
+fn tarjan(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = adj.len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
@@ -360,6 +345,8 @@ mod tests {
         }
     }
 
+    /// Parses the real `rank.rs`, and every rank constant must appear
+    /// (backticked) in the DESIGN.md §7 hierarchy table.
     #[test]
     fn rank_table_parses_the_real_rank_file() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -368,7 +355,19 @@ mod tests {
             .unwrap();
         let src = std::fs::read_to_string(root.join("crates/sync/src/rank.rs")).unwrap();
         let table = RankTable::parse(&src);
-        assert!(table.len() >= 20, "found only {} ranks", table.len());
+        assert!(
+            table.map.len() >= 20,
+            "found only {} ranks",
+            table.map.len()
+        );
+        let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+        for (name, (order, dotted)) in &table.map {
+            assert!(
+                design.contains(&format!("`{name}`")),
+                "rank constant {name} ({order}, {dotted}) missing from the \
+                 DESIGN.md §7 hierarchy table"
+            );
+        }
         assert_eq!(table.order("CONTAINER_PROCESSOR"), Some(310));
         assert_eq!(table.order("CONTAINER_CORE"), Some(320));
         assert_eq!(

@@ -12,34 +12,16 @@
 //!
 //! Both are dependency-free by design so the tool builds instantly anywhere.
 //!
-//! Exit codes are per rule category so CI and scripts can tell failure
-//! classes apart without parsing output:
-//!
-//! | code | meaning                                        |
-//! |------|------------------------------------------------|
-//! | 0    | clean                                          |
-//! | 1    | violations from more than one category         |
-//! | 2    | usage or I/O error                             |
-//! | 3    | textual rules only (`direct-lock`, `raw-time`, |
-//! |      | `no-unwrap`, `retry-sleep`, `metric-name`,     |
-//! |      | `crash-point`)                                 |
-//! | 4    | `guard-across-blocking` only                   |
-//! | 5    | `guard-escape` only                            |
-//! | 6    | `lock-order` only                              |
-//! | 7    | `allowlist-stale` only                         |
-//! | 8    | `hot-path-alloc` only                          |
-//! | 9    | `panic-surface` only                           |
-//! | 10   | `blocking-cycle` only                          |
-//! | 11   | `channel-discipline` only                      |
-//! | 12   | `relaxed-atomics` only                         |
+//! Exit codes: 0 clean, 1 violations, 2 usage or I/O error.
 //!
 //! A second task, `bench-gate`, compares a fresh criterion report against
 //! the committed `BENCH_protocol.json` baseline and fails on regression
-//! (exit 1) so CI catches performance drift.
+//! (exit 1) so CI catches performance drift; with `--soak` it holds a fresh
+//! `BENCH_soak.json` to the soak gate's absolute bounds.
 
 mod atomics;
 mod benchgate;
-mod blockgraph;
+mod channels;
 mod guards;
 mod hotpath;
 mod lexer;
@@ -60,13 +42,11 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut graph = false;
     let mut hot = false;
-    let mut block_graph = false;
     let mut write_baseline = false;
     let mut baseline: Option<PathBuf> = None;
     let mut fresh: Option<PathBuf> = None;
     let mut tolerance = 0.5f64;
     let mut soak = false;
-    let mut max_dispersion = 30.0f64;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -75,7 +55,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--graph" => graph = true,
             "--hot" => hot = true,
-            "--block-graph" => block_graph = true,
             "--write-hotpath-baseline" => write_baseline = true,
             "--baseline" => baseline = iter.next().map(PathBuf::from),
             "--fresh" => fresh = iter.next().map(PathBuf::from),
@@ -87,13 +66,6 @@ fn main() -> ExitCode {
                 }
             },
             "--soak" => soak = true,
-            "--max-dispersion" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(d) if d > 0.0 => max_dispersion = d,
-                _ => {
-                    eprintln!("--max-dispersion needs a positive number");
-                    return ExitCode::from(EXIT_ERROR);
-                }
-            },
             "lint" => task = Some("lint"),
             "bench-gate" => task = Some("bench-gate"),
             "--help" | "-h" => {
@@ -109,16 +81,8 @@ fn main() -> ExitCode {
     }
 
     match task {
-        Some("lint") => run_lint(
-            root,
-            allowlist,
-            json,
-            graph,
-            hot,
-            block_graph,
-            write_baseline,
-        ),
-        Some("bench-gate") => run_bench_gate(baseline, fresh, tolerance, soak, max_dispersion),
+        Some("lint") => run_lint(root, allowlist, json, graph, hot, write_baseline),
+        Some("bench-gate") => run_bench_gate(baseline, fresh, tolerance, soak),
         _ => {
             print_usage();
             ExitCode::from(EXIT_ERROR)
@@ -126,27 +90,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// Reads baseline and fresh bench reports and applies the tolerance gate.
-/// With `--soak` the reports are soak summaries (`BENCH_soak.json`) and the
-/// gate is the dispersion/attribution bound instead of per-benchmark ns.
+/// Reads the fresh bench report and applies its gate: the tolerance band
+/// against a baseline for criterion reports, or with `--soak` the soak
+/// gate's absolute bounds (no baseline).
 fn run_bench_gate(
     baseline: Option<PathBuf>,
     fresh: Option<PathBuf>,
     tolerance: f64,
     soak: bool,
-    max_dispersion: f64,
 ) -> ExitCode {
     let workspace_root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(|p| p.parent())
         .expect("xtask sits two levels under the workspace root")
         .to_path_buf();
-    let default_baseline = if soak {
-        "BENCH_soak.json"
-    } else {
-        "BENCH_protocol.json"
-    };
-    let baseline = baseline.unwrap_or_else(|| workspace_root.join(default_baseline));
     let Some(fresh) = fresh else {
         eprintln!("bench-gate needs --fresh FILE (the just-generated report)");
         return ExitCode::from(EXIT_ERROR);
@@ -160,12 +117,16 @@ fn run_bench_gate(
             }
         }
     };
-    let (Some(base_text), Some(fresh_text)) = (read(&baseline), read(&fresh)) else {
+    let Some(fresh_text) = read(&fresh) else {
         return ExitCode::from(EXIT_ERROR);
     };
     let code = if soak {
-        benchgate::run_soak(&base_text, &fresh_text, tolerance, max_dispersion)
+        benchgate::run_soak(&fresh_text)
     } else {
+        let baseline = baseline.unwrap_or_else(|| workspace_root.join("BENCH_protocol.json"));
+        let Some(base_text) = read(&baseline) else {
+            return ExitCode::from(EXIT_ERROR);
+        };
         benchgate::run(&base_text, &fresh_text, tolerance)
     };
     ExitCode::from(code as u8)
@@ -174,12 +135,12 @@ fn run_bench_gate(
 fn print_usage() {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--root DIR] [--allowlist FILE] [--json] [--graph] \
-         [--hot] [--block-graph] [--write-hotpath-baseline]"
+         [--hot] [--write-hotpath-baseline]"
     );
     eprintln!(
-        "       cargo run -p xtask -- bench-gate --fresh FILE [--baseline FILE] \
-         [--tolerance F] [--soak] [--max-dispersion F]"
+        "       cargo run -p xtask -- bench-gate --fresh FILE [--baseline FILE] [--tolerance F]"
     );
+    eprintln!("       cargo run -p xtask -- bench-gate --soak --fresh FILE");
     eprintln!();
     eprintln!("Lints the workspace sources. With --root, scans an arbitrary");
     eprintln!("directory with every rule applied to every file (used for the");
@@ -188,9 +149,6 @@ fn print_usage() {
     eprintln!("  --json    emit machine-readable JSON on stdout instead of text");
     eprintln!("  --graph   print the inferred lock-order graph after the scan");
     eprintln!("  --hot     print the hot-path function dump (allocation counts)");
-    eprintln!("  --block-graph");
-    eprintln!("            print the unified blocking wait-for graph (channels,");
-    eprintln!("            joins, condvars, lock waits) after the scan");
     eprintln!("  --write-hotpath-baseline");
     eprintln!("            rewrite crates/xtask/hotpath-baseline.txt with the");
     eprintln!("            current counts (use after removing allocations)");
@@ -198,6 +156,8 @@ fn print_usage() {
     eprintln!("bench-gate compares a fresh criterion report against the committed");
     eprintln!("baseline (default BENCH_protocol.json) and exits 1 when any");
     eprintln!("benchmark slowed past the tolerance band (default 0.5 = +50%).");
+    eprintln!("With --soak it holds a fresh soak report to the soak gate's");
+    eprintln!("absolute bounds.");
 }
 
 fn run_lint(
@@ -206,7 +166,6 @@ fn run_lint(
     json: bool,
     graph: bool,
     hot: bool,
-    block_graph: bool,
     write_baseline: bool,
 ) -> ExitCode {
     // Default to the workspace root: xtask lives at <root>/crates/xtask.
@@ -287,56 +246,13 @@ fn run_lint(
                 println!("  {line}");
             }
         }
-        if block_graph {
-            println!(
-                "blocking wait-for graph ({} edges):",
-                report.block_graph.len()
-            );
-            for line in &report.block_graph {
-                println!("  {line}");
-            }
-            println!("channel capacities (DESIGN.md table):");
-            for line in &report.channel_table {
-                println!("  {line}");
-            }
-        }
         if report.violations.is_empty() {
             println!("xtask lint: clean ({} files scanned)", report.files);
         } else {
             println!("xtask lint: {} violation(s)", report.violations.len());
         }
     }
-    ExitCode::from(exit_code_for(&report.violations))
-}
-
-/// Maps the violation set to the per-category exit code documented in the
-/// module header.
-fn exit_code_for(violations: &[lints::Violation]) -> u8 {
-    if violations.is_empty() {
-        return 0;
-    }
-    let mut codes: Vec<u8> = violations
-        .iter()
-        .map(|v| match v.rule {
-            "guard-across-blocking" => 4,
-            "guard-escape" => 5,
-            "lock-order" => 6,
-            "allowlist-stale" => 7,
-            "hot-path-alloc" => 8,
-            "panic-surface" => 9,
-            "blocking-cycle" => 10,
-            "channel-discipline" => 11,
-            "relaxed-atomics" => 12,
-            _ => 3,
-        })
-        .collect();
-    codes.sort_unstable();
-    codes.dedup();
-    if codes.len() == 1 {
-        codes[0]
-    } else {
-        1
-    }
+    ExitCode::from(if report.violations.is_empty() { 0 } else { 1 })
 }
 
 /// Serializes the report by hand (the tool is dependency-free). Violations
@@ -386,18 +302,6 @@ fn report_to_json(report: &lints::ScanReport) -> String {
     if !report.hot.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("],\n");
-    out.push_str("  \"block_graph\": [");
-    for (i, line) in report.block_graph.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&json_str(line));
-    }
-    if !report.block_graph.is_empty() {
-        out.push_str("\n  ");
-    }
     out.push_str("]\n}");
     out
 }
@@ -424,48 +328,6 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn violation(rule: &'static str) -> lints::Violation {
-        lints::Violation {
-            path: "crates/x/src/lib.rs".into(),
-            line: 1,
-            col: 1,
-            rule,
-            message: "m".into(),
-            snippet: "s".into(),
-        }
-    }
-
-    #[test]
-    fn exit_codes_per_category() {
-        assert_eq!(exit_code_for(&[]), 0);
-        assert_eq!(exit_code_for(&[violation("no-unwrap")]), 3);
-        assert_eq!(exit_code_for(&[violation("guard-across-blocking")]), 4);
-        assert_eq!(exit_code_for(&[violation("guard-escape")]), 5);
-        assert_eq!(exit_code_for(&[violation("lock-order")]), 6);
-        assert_eq!(exit_code_for(&[violation("allowlist-stale")]), 7);
-        assert_eq!(exit_code_for(&[violation("hot-path-alloc")]), 8);
-        assert_eq!(exit_code_for(&[violation("panic-surface")]), 9);
-        assert_eq!(exit_code_for(&[violation("blocking-cycle")]), 10);
-        assert_eq!(exit_code_for(&[violation("channel-discipline")]), 11);
-        assert_eq!(exit_code_for(&[violation("relaxed-atomics")]), 12);
-        assert_eq!(
-            exit_code_for(&[violation("blocking-cycle"), violation("channel-discipline")]),
-            1
-        );
-        assert_eq!(
-            exit_code_for(&[violation("hot-path-alloc"), violation("panic-surface")]),
-            1
-        );
-        assert_eq!(
-            exit_code_for(&[violation("no-unwrap"), violation("lock-order")]),
-            1
-        );
-        assert_eq!(
-            exit_code_for(&[violation("raw-time"), violation("retry-sleep")]),
-            3
-        );
-    }
-
     #[test]
     fn json_output_is_valid_and_escaped() {
         let report = lints::ScanReport {
@@ -481,8 +343,6 @@ mod tests {
             graph: vec!["a (1) -> b (2) via `c`  [f.rs:1]".into()],
             hot: vec!["f.rs::f allocs=1  [root]".into()],
             hotpath_counts: std::collections::BTreeMap::new(),
-            block_graph: vec!["a -[join pump]-> b  [f.rs:2]".into()],
-            channel_table: Vec::new(),
         };
         let json = report_to_json(&report);
         // Windows separators are normalized, never escaped.
@@ -495,8 +355,6 @@ mod tests {
         assert!(json.contains("\"lock_order_graph\""));
         assert!(json.contains("\"hot_path\""));
         assert!(json.contains("f.rs::f allocs=1"));
-        assert!(json.contains("\"block_graph\""));
-        assert!(json.contains("a -[join pump]-> b"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(
             json.matches('{').count(),
@@ -514,13 +372,10 @@ mod tests {
             graph: Vec::new(),
             hot: Vec::new(),
             hotpath_counts: std::collections::BTreeMap::new(),
-            block_graph: Vec::new(),
-            channel_table: Vec::new(),
         };
         let json = report_to_json(&report);
         assert!(json.contains("\"violations\": []"));
         assert!(json.contains("\"lock_order_graph\": []"));
         assert!(json.contains("\"hot_path\": []"));
-        assert!(json.contains("\"block_graph\": []"));
     }
 }

@@ -232,7 +232,6 @@ fn lenish_ident(ident: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn run(src: &str) -> Vec<Violation> {
         let mut v = Vec::new();

@@ -293,8 +293,8 @@ fn store_failure_recovers_containers_without_data_loss() {
 
 #[test]
 fn controller_metadata_lives_in_pravega_tables() {
-    // table_metadata = true is the default: verify streams survive via the
-    // table segment by listing through the controller.
+    // Verify streams survive via the metadata table segment by listing
+    // through the controller.
     let cluster = small_cluster();
     cluster.create_scope("it").unwrap();
     for name in ["a", "b", "c"] {
