@@ -224,6 +224,10 @@ fn run_writer(
         }
         let now = start.elapsed();
         if now < slot {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "pacing: waits for the writer's fixed send slot; retries nothing"
+            )]
             std::thread::sleep(slot - now);
         }
         let payload = format!("w{w}-{seq:012}-{pad}");
@@ -278,6 +282,10 @@ fn run_sampler(
         let target = Duration::from_secs(k);
         let now = start.elapsed();
         if now < target {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "pacing: the sampler's once-a-second tick; retries nothing"
+            )]
             std::thread::sleep(target - now);
         }
         samples.push(sample(&hists));
@@ -297,6 +305,10 @@ fn run_reader(
     start_delay: Duration,
     stop: &AtomicBool,
 ) -> HashMap<String, u64> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pacing: the catch-up reader's deliberate late start; retries nothing"
+    )]
     std::thread::sleep(start_delay);
     let group = cluster
         .create_reader_group("soak", "catchup", vec![stream.clone()])
@@ -527,6 +539,10 @@ fn main() {
             .collect();
         // Writers are done and flushed; give the reader a dry-tail pass to
         // finish, then release both background threads.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pacing: the end-of-run dry-tail grace; retries nothing"
+        )]
         std::thread::sleep(Duration::from_secs(1));
         stop.store(true, Ordering::Release);
         let samples = sampler.join().expect("sampler thread");

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The Pravega client library (§2.1, §3): event writers, event readers,
 //! reader groups and the state synchronizer.
 //!

@@ -45,12 +45,8 @@ use crate::serializer::{frame_event, Serializer};
 /// Writer tuning.
 #[derive(Debug, Clone)]
 pub struct WriterConfig {
-    /// Maximum append-block size (the cap in the batch heuristic).
-    pub max_batch_bytes: usize,
     /// Longest an open block may wait for more events.
     pub max_batch_delay: Duration,
-    /// Initial round-trip estimate before any acks arrive.
-    pub initial_rtt: Duration,
     /// Registry the writer's `client.writer.*` instruments register in.
     ///
     /// Defaults to a private registry; the cluster substitutes its shared
@@ -61,9 +57,7 @@ pub struct WriterConfig {
 impl Default for WriterConfig {
     fn default() -> Self {
         Self {
-            max_batch_bytes: 1024 * 1024,
             max_batch_delay: Duration::from_millis(5),
-            initial_rtt: Duration::from_millis(1),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -357,10 +351,9 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
         }
         // Ship every affected block: each becomes one atomic append op on
         // its segment.
-        let max_batch = self.shared.config.max_batch_bytes;
         for idx in touched {
             if idx < state.segments.len() {
-                send_block(&self.shared, &mut state.segments[idx], max_batch);
+                send_block(&self.shared, &mut state.segments[idx]);
             }
         }
         promises
@@ -375,9 +368,8 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
         let flush_start = clock::monotonic_now();
         {
             let mut state = self.shared.state.lock();
-            let max_batch = self.shared.config.max_batch_bytes;
             for seg in &mut state.segments {
-                send_block(&self.shared, seg, max_batch);
+                send_block(&self.shared, seg);
             }
         }
         let deadline = clock::monotonic_now() + Duration::from_secs(60);
@@ -545,14 +537,13 @@ fn route_event_inner(
             handle_sealed(shared, state, idx)?;
             continue;
         }
-        let max_batch = shared.config.max_batch_bytes;
         let seg = &mut state.segments[idx];
         let opens_block = seg.block_opened.is_none();
         append_to_block(shared, seg, event);
         if !defer_send {
-            let estimate = batch_size_estimate(shared, seg, max_batch);
+            let estimate = batch_size_estimate(shared, seg);
             if seg.block.len() >= estimate {
-                send_block(shared, seg, max_batch);
+                send_block(shared, seg);
             }
         }
         if opens_block && seg.block_opened.is_some() {
@@ -576,21 +567,25 @@ fn append_to_block(_shared: &Arc<WriterShared>, seg: &mut OpenSegment, event: Pe
     seg.block_events.push(event);
 }
 
+/// Maximum append-block size (the cap in the batch heuristic).
+const MAX_BATCH_BYTES: usize = 1024 * 1024;
+
+/// Initial round-trip estimate before any acks arrive.
+const INITIAL_RTT: Duration = Duration::from_millis(1);
+
 /// The paper's client batch heuristic: `min(max_batch, rate · RTT/2)`.
-fn batch_size_estimate(shared: &Arc<WriterShared>, seg: &OpenSegment, max_batch: usize) -> usize {
-    let rtt = seg
-        .rtt_secs
-        .value_or(shared.config.initial_rtt.as_secs_f64());
+fn batch_size_estimate(shared: &Arc<WriterShared>, seg: &OpenSegment) -> usize {
+    let rtt = seg.rtt_secs.value_or(INITIAL_RTT.as_secs_f64());
     let rate = seg
         .byte_rate
         .rate(seg.rate_origin.elapsed().as_nanos() as u64);
     let estimate = (rate * rtt / 2.0) as usize;
-    let clamped = estimate.clamp(1, max_batch);
+    let clamped = estimate.clamp(1, MAX_BATCH_BYTES);
     shared.metrics.batch_estimate_bytes.record(clamped as u64);
     clamped
 }
 
-fn send_block(shared: &Arc<WriterShared>, seg: &mut OpenSegment, _max_batch: usize) {
+fn send_block(shared: &Arc<WriterShared>, seg: &mut OpenSegment) {
     if seg.block_events.is_empty() || seg.sealed {
         return;
     }
@@ -718,7 +713,7 @@ fn reconnect(shared: &Arc<WriterShared>, seg: &mut OpenSegment) -> Result<(), Cl
             append_to_block(shared, seg, event);
         }
     }
-    send_block(shared, seg, shared.config.max_batch_bytes);
+    send_block(shared, seg);
     Ok(())
 }
 
@@ -731,7 +726,6 @@ fn pump_loop(shared: Arc<WriterShared>) {
             let mut state = shared.state.lock();
             let mut sealed_indices: Vec<usize> = Vec::new();
             let mut broken_indices: Vec<usize> = Vec::new();
-            let max_batch = shared.config.max_batch_bytes;
             for (i, seg) in state.segments.iter_mut().enumerate() {
                 // Drain acknowledgements.
                 loop {
@@ -778,7 +772,7 @@ fn pump_loop(shared: Arc<WriterShared>) {
                 // Close stale blocks (latency bound at low rates).
                 if let Some(opened) = seg.block_opened {
                     if opened.elapsed() >= shared.config.max_batch_delay {
-                        send_block(&shared, seg, max_batch);
+                        send_block(&shared, seg);
                     }
                 }
             }

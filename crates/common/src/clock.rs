@@ -17,14 +17,23 @@ pub type Timestamp = u64;
 /// manually. Mechanical uses that need an [`Instant`] (condvar deadlines,
 /// latency stopwatches) go through this function instead of calling
 /// `Instant::now()` directly, so every raw time read in the tree flows
-/// through one choke point — `xtask lint` rejects `Instant::now()` anywhere
-/// else, which keeps the deterministic-simulation discipline auditable.
+/// through one choke point — clippy's `disallowed_methods` rejects
+/// `Instant::now()` anywhere else, which keeps the deterministic-simulation
+/// discipline auditable.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned monotonic time source"
+)]
 pub fn monotonic_now() -> Instant {
     Instant::now()
 }
 
 /// Wall-clock counterpart of [`monotonic_now`]: the only sanctioned
 /// `SystemTime::now()` call site in the workspace.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned wall-clock source"
+)]
 pub fn wall_now() -> std::time::SystemTime {
     std::time::SystemTime::now()
 }
@@ -50,7 +59,7 @@ impl SystemClock {
     /// Creates a clock whose origin is "now".
     pub fn new() -> Self {
         Self {
-            origin: Instant::now(),
+            origin: monotonic_now(),
         }
     }
 }

@@ -8,9 +8,9 @@
 //! behind an `Option`, so firing is a branch on a null pointer), while the
 //! `pravega-faults` crate arms it with a seeded schedule.
 //!
-//! Arming (`CrashHook::armed`) is reserved to `pravega-faults` — enforced by
-//! the `crash-point` xtask lint rule — so production code can observe crash
-//! points but can never *depend* on the crash machinery.
+//! Arming (`CrashHook::armed`) is reserved to `pravega-faults` — a clippy
+//! `disallowed-methods` entry everywhere else — so production code can
+//! observe crash points but can never *depend* on the crash machinery.
 
 use std::fmt;
 use std::sync::Arc;
@@ -75,8 +75,8 @@ impl CrashHook {
 
     /// Arms a hook with a decision function.
     ///
-    /// Only `pravega-faults` may call this (xtask `crash-point` rule): the
-    /// sanctioned way for test code to obtain an armed hook is
+    /// Only `pravega-faults` may call this (clippy `disallowed-methods`):
+    /// the sanctioned way for test code to obtain an armed hook is
     /// `FaultPlan::crash_hook`.
     pub fn armed(decide: impl Fn(&'static str) -> bool + Send + Sync + 'static) -> Self {
         Self {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Shared foundation types for the Pravega reproduction.
 //!
 //! This crate contains the vocabulary that every other crate in the workspace

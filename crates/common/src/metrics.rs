@@ -287,7 +287,23 @@ impl Histogram {
     }
 }
 
-/// A named registry of counters and histograms.
+/// Panics in a debug build unless `name` has the `<crate>.<component>.<name>`
+/// shape: three non-empty dotted segments of lowercase ASCII letters, digits
+/// and `_`, so the per-stage dashboards can group instruments by stage.
+fn debug_assert_metric_name(name: &str) {
+    debug_assert!(
+        name.split('.').count() == 3
+            && name.split('.').all(|s| {
+                !s.is_empty()
+                    && s.bytes()
+                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_')
+            }),
+        "metric name `{name}` must match <crate>.<component>.<name>"
+    );
+}
+
+/// A named registry of counters and histograms. Every name follows
+/// `<crate>.<component>.<name>`; a debug build panics on any other.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<RegistryInner>>,
@@ -317,6 +333,7 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the counter with the given name.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
+        debug_assert_metric_name(name);
         let mut inner = self.inner.lock();
         inner
             .counters
@@ -327,6 +344,7 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the histogram with the given name.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        debug_assert_metric_name(name);
         let mut inner = self.inner.lock();
         inner
             .histograms
@@ -337,6 +355,7 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the gauge with the given name.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        debug_assert_metric_name(name);
         let mut inner = self.inner.lock();
         inner
             .gauges
@@ -347,6 +366,7 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the text slot with the given name.
     pub fn text(&self, name: &str) -> Arc<TextSlot> {
+        debug_assert_metric_name(name);
         let mut inner = self.inner.lock();
         inner
             .texts
@@ -695,12 +715,15 @@ mod tests {
     #[test]
     fn registry_returns_same_instance() {
         let r = MetricsRegistry::new();
-        r.counter("a").inc();
-        r.counter("a").inc();
-        assert_eq!(r.counter("a").get(), 2);
-        assert_eq!(r.counter_values(), vec![("a".to_string(), 2)]);
-        r.histogram("h").record(1);
-        assert_eq!(r.histogram("h").count(), 1);
+        r.counter("test.registry.events").inc();
+        r.counter("test.registry.events").inc();
+        assert_eq!(r.counter("test.registry.events").get(), 2);
+        assert_eq!(
+            r.counter_values(),
+            vec![("test.registry.events".to_string(), 2)]
+        );
+        r.histogram("test.registry.latency").record(1);
+        assert_eq!(r.histogram("test.registry.latency").count(), 1);
     }
 
     #[test]
@@ -735,9 +758,31 @@ mod tests {
     #[test]
     fn registry_gauge_is_shared() {
         let r = MetricsRegistry::new();
-        r.gauge("depth").set(3);
-        r.gauge("depth").add(2);
-        assert_eq!(r.gauge("depth").get(), 5);
+        r.gauge("test.registry.depth").set(3);
+        r.gauge("test.registry.depth").add(2);
+        assert_eq!(r.gauge("test.registry.depth").get(), 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn off_shape_metric_names_panic_in_debug_builds() {
+        let r = MetricsRegistry::new();
+        r.text("segmentstore.storagewriter.last_flush_error");
+        r.counter("segmentstore.durablelog.queued_ops");
+        for bad in [
+            "events",
+            "a.b",
+            "a.b.c.d",
+            "A.B.C",
+            "a..c",
+            "x.last-error.y",
+        ] {
+            let r = r.clone();
+            let registered = std::panic::catch_unwind(move || {
+                r.gauge(bad);
+            });
+            assert!(registered.is_err(), "`{bad}` was accepted");
+        }
     }
 
     #[test]
@@ -784,15 +829,15 @@ mod tests {
     #[test]
     fn snapshot_captures_all_instrument_kinds() {
         let r = MetricsRegistry::new();
-        r.counter("x.events").add(3);
-        r.gauge("x.depth").set(-2);
+        r.counter("test.x.events").add(3);
+        r.gauge("test.x.depth").set(-2);
         for v in [10u64, 20, 30] {
-            r.histogram("x.lat").record(v);
+            r.histogram("test.x.lat").record(v);
         }
         let s = r.snapshot();
-        assert_eq!(s.counter("x.events"), Some(3));
-        assert_eq!(s.gauge("x.depth"), Some(-2));
-        let h = s.histogram("x.lat").unwrap();
+        assert_eq!(s.counter("test.x.events"), Some(3));
+        assert_eq!(s.gauge("test.x.depth"), Some(-2));
+        let h = s.histogram("test.x.lat").unwrap();
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 60);
         assert_eq!(h.min, 10);

@@ -10,10 +10,10 @@
 //! sleeping a bounded, jittered, exponentially growing backoff between
 //! attempts.
 //!
-//! This module is the **only** sanctioned home for retry sleeps: `xtask lint`
-//! rejects `thread::sleep` elsewhere in non-test code (pacing/polling sleeps
-//! are individually allowlisted) so ad-hoc spin-retry loops cannot creep back
-//! in.
+//! This module is the **only** sanctioned home for retry sleeps: clippy's
+//! `disallowed-methods` rejects `thread::sleep` elsewhere in non-test code
+//! (pacing and simulated-device sleeps each carry an `#[expect]` with their
+//! reason) so ad-hoc spin-retry loops cannot creep back in.
 //!
 //! # Example
 //!
@@ -169,8 +169,10 @@ impl RetryPolicy {
                     on_retry(attempt, &e);
                     let sleep = self.jittered(self.backoff(attempt), &mut rng);
                     if !sleep.is_zero() {
-                        // The one sanctioned retry sleep in the workspace
-                        // (see module docs; enforced by the retry-sleep lint).
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the one sanctioned retry sleep in the workspace"
+                        )]
                         std::thread::sleep(sleep);
                     }
                     attempt += 1;

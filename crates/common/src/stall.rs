@@ -130,6 +130,11 @@ impl StallTracker {
 /// through it in short slices so a stopping component joins its threads
 /// promptly even under a long pacing interval. It paces work; it never
 /// retries a failure — retries go through [`crate::retry`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one sanctioned pacing sleep, sliced so stopping components wake \
+              promptly; it retries nothing"
+)]
 pub fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
     const SLICE: Duration = Duration::from_millis(10);
     let deadline = clock::monotonic_now() + total;

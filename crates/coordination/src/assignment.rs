@@ -1,16 +1,13 @@
 //! Segment-container → segment-store assignment.
 //!
 //! The key space of container ids is partitioned across the available segment
-//! store instances (§2.2). Pravega keeps this assignment in ZooKeeper; a
-//! controller (the cluster leader) recomputes it when membership changes and
-//! segment stores watch it to learn which containers to start or stop (§4.4:
-//! when a store crashes, its containers are redistributed across the
-//! remaining instances).
+//! store instances (§2.2). Pravega keeps this assignment in ZooKeeper and
+//! recomputes it when membership changes (§4.4: when a store crashes, its
+//! containers are redistributed across the remaining instances).
 
 use std::collections::BTreeMap;
 
-use crate::store::{CoordinationService, SessionId, WatchEvent};
-use crossbeam::channel::Receiver;
+use crate::store::{CoordinationService, SessionId};
 
 /// Path of the node holding the serialized assignment map.
 pub const ASSIGNMENT_PATH: &str = "/cluster/assignment";
@@ -42,20 +39,6 @@ fn encode_assignment(map: &BTreeMap<u32, String>) -> Vec<u8> {
         out.push_str(&format!("{container}={host}\n"));
     }
     out.into_bytes()
-}
-
-fn decode_assignment(data: &[u8]) -> BTreeMap<u32, String> {
-    let mut map = BTreeMap::new();
-    if let Ok(text) = std::str::from_utf8(data) {
-        for line in text.lines() {
-            if let Some((c, h)) = line.split_once('=') {
-                if let Ok(container) = c.parse::<u32>() {
-                    map.insert(container, h.to_string());
-                }
-            }
-        }
-    }
-    map
 }
 
 /// Maintains the container assignment node in the coordination store.
@@ -112,30 +95,25 @@ impl ContainerAssigner {
         self.coord.put(ASSIGNMENT_PATH, encode_assignment(&map));
         map
     }
-
-    /// Reads the currently published assignment.
-    pub fn current_assignment(coord: &CoordinationService) -> BTreeMap<u32, String> {
-        coord
-            .get(ASSIGNMENT_PATH)
-            .map(|(data, _)| decode_assignment(&data))
-            .unwrap_or_default()
-    }
-
-    /// Watches for assignment changes. Each event means the assignment node
-    /// changed; re-read it with [`ContainerAssigner::current_assignment`].
-    pub fn watch_assignment(coord: &CoordinationService) -> Receiver<WatchEvent> {
-        coord.watch(ASSIGNMENT_PATH)
-    }
-
-    /// Watches host membership changes (for leaders deciding to rebalance).
-    pub fn watch_hosts(coord: &CoordinationService) -> Receiver<WatchEvent> {
-        coord.watch(HOSTS_PREFIX)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_assignment(data: &[u8]) -> BTreeMap<u32, String> {
+        let mut map = BTreeMap::new();
+        if let Ok(text) = std::str::from_utf8(data) {
+            for line in text.lines() {
+                if let Some((c, h)) = line.split_once('=') {
+                    if let Ok(container) = c.parse::<u32>() {
+                        map.insert(container, h.to_string());
+                    }
+                }
+            }
+        }
+        map
+    }
 
     fn hosts(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -184,21 +162,12 @@ mod tests {
         let assigner = ContainerAssigner::new(&coord, 4);
         let map = assigner.rebalance();
         assert_eq!(map.len(), 4);
-        assert_eq!(ContainerAssigner::current_assignment(&coord), map);
+        let (published, _) = coord.get(ASSIGNMENT_PATH).unwrap();
+        assert_eq!(decode_assignment(&published), map);
 
         // store-1 dies: all containers move to store-2.
         coord.expire_session(s1.id());
         let map2 = assigner.rebalance();
         assert!(map2.values().all(|h| h == "store-2"));
-    }
-
-    #[test]
-    fn watchers_see_rebalance() {
-        let coord = CoordinationService::new();
-        let s = coord.create_session();
-        ContainerAssigner::register_host(&coord, "store-1", s.id()).unwrap();
-        let rx = ContainerAssigner::watch_assignment(&coord);
-        ContainerAssigner::new(&coord, 2).rebalance();
-        assert_eq!(rx.try_iter().count(), 1);
     }
 }

@@ -1,19 +1,17 @@
 #![warn(missing_docs)]
-//! A ZooKeeper stand-in: the consensus/coordination substrate Pravega uses
-//! for leader election and general cluster management (§2.2).
+//! A ZooKeeper stand-in: the coordination substrate Pravega uses for cluster
+//! management (§2.2).
 //!
-//! Pravega needs three things from ZooKeeper:
+//! What the cluster needs from ZooKeeper, and what this crate provides
+//! in-process:
 //!
 //! 1. a small, consistent, *versioned* key-value store (compare-and-set) for
-//!    cluster metadata such as the segment-container→host assignment,
-//! 2. ephemeral nodes + watches for membership and failure detection,
-//! 3. leader election among controller instances.
+//!    cluster metadata such as the segment-container→host assignment and the
+//!    WAL's log and ledger metadata;
+//! 2. sessions with ephemeral nodes for membership and failure detection.
 //!
-//! This crate provides all three with an in-process implementation. Versioned
-//! writes are linearizable (a single lock guards the tree), watches are
-//! persistent (simpler than ZooKeeper's one-shot watches but equivalent for
-//! our recipes), and sessions can be expired explicitly for failure-injection
-//! tests.
+//! Versioned writes are linearizable (a single lock guards the tree), and
+//! sessions can be expired explicitly for failure-injection tests.
 //!
 //! # Example
 //!
@@ -31,11 +29,7 @@
 //! ```
 
 mod assignment;
-mod election;
 mod store;
 
 pub use assignment::{compute_assignment, ContainerAssigner, ASSIGNMENT_PATH, HOSTS_PREFIX};
-pub use election::LeaderElection;
-pub use store::{
-    CoordError, CoordinationService, CreateMode, Session, SessionId, WatchEvent, WatchKind,
-};
+pub use store::{CoordError, CoordinationService, CreateMode, Session, SessionId};

@@ -1,11 +1,9 @@
-//! The versioned, watched key-value store at the heart of the coordination
-//! service.
+//! The versioned key-value store at the heart of the coordination service.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pravega_sync::{rank, Mutex};
 
 /// Identifier of a client session. Ephemeral nodes die with their session.
@@ -60,26 +58,6 @@ impl fmt::Display for CoordError {
 
 impl std::error::Error for CoordError {}
 
-/// The kind of change a watch event describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchKind {
-    /// A node was created.
-    Created,
-    /// A node's data changed.
-    Modified,
-    /// A node was deleted.
-    Deleted,
-}
-
-/// A change notification delivered to watchers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchEvent {
-    /// Path of the node that changed.
-    pub path: String,
-    /// What happened to it.
-    pub kind: WatchKind,
-}
-
 #[derive(Debug)]
 struct Node {
     data: Vec<u8>,
@@ -87,35 +65,11 @@ struct Node {
     owner: Option<SessionId>,
 }
 
-#[derive(Debug)]
-struct Watcher {
-    prefix: String,
-    tx: Sender<WatchEvent>,
-}
-
 #[derive(Debug, Default)]
 struct StoreInner {
     nodes: BTreeMap<String, Node>,
-    watchers: Vec<Watcher>,
     sessions: BTreeMap<SessionId, ()>,
     next_session: u64,
-    next_sequence: u64,
-}
-
-impl StoreInner {
-    fn notify(&mut self, path: &str, kind: WatchKind) {
-        self.watchers.retain(|w| {
-            if path.starts_with(&w.prefix) {
-                w.tx.send(WatchEvent {
-                    path: path.to_string(),
-                    kind,
-                })
-                .is_ok()
-            } else {
-                true
-            }
-        });
-    }
 }
 
 /// A handle to a live session. Dropping the handle does **not** expire the
@@ -133,7 +87,7 @@ impl Session {
     }
 }
 
-/// The coordination service: a shared, versioned, watched KV tree.
+/// The coordination service: a shared, versioned KV tree.
 #[derive(Debug, Clone)]
 pub struct CoordinationService {
     inner: Arc<Mutex<StoreInner>>,
@@ -162,21 +116,12 @@ impl CoordinationService {
         Session { id }
     }
 
-    /// Expires a session: all of its ephemeral nodes are deleted (watchers
-    /// are notified). Used both for graceful shutdown and failure injection.
+    /// Expires a session: all of its ephemeral nodes are deleted. Used both
+    /// for graceful shutdown and failure injection.
     pub fn expire_session(&self, id: SessionId) {
         let mut inner = self.inner.lock();
         inner.sessions.remove(&id);
-        let dead: Vec<String> = inner
-            .nodes
-            .iter()
-            .filter(|(_, n)| n.owner == Some(id))
-            .map(|(p, _)| p.clone())
-            .collect();
-        for path in dead {
-            inner.nodes.remove(&path);
-            inner.notify(&path, WatchKind::Deleted);
-        }
+        inner.nodes.retain(|_, n| n.owner != Some(id));
     }
 
     /// Whether the session is still alive.
@@ -212,30 +157,7 @@ impl CoordinationService {
                 owner,
             },
         );
-        inner.notify(path, WatchKind::Created);
         Ok(())
-    }
-
-    /// Creates a node at `prefix` + a monotonically increasing, zero-padded
-    /// sequence number (ZooKeeper's "sequential" mode, used for elections).
-    /// Returns the full path created.
-    ///
-    /// # Errors
-    ///
-    /// [`CoordError::NoSession`] if an ephemeral owner has expired.
-    pub fn create_sequential(
-        &self,
-        prefix: &str,
-        data: Vec<u8>,
-        mode: CreateMode,
-    ) -> Result<String, CoordError> {
-        let path = {
-            let mut inner = self.inner.lock();
-            inner.next_sequence += 1;
-            format!("{prefix}{:010}", inner.next_sequence)
-        };
-        self.create(&path, data, mode)?;
-        Ok(path)
     }
 
     /// Reads a node's data and version.
@@ -274,9 +196,7 @@ impl CoordinationService {
         }
         node.data = data;
         node.version += 1;
-        let v = node.version;
-        inner.notify(path, WatchKind::Modified);
-        Ok(v)
+        Ok(node.version)
     }
 
     /// Creates the node if absent, otherwise overwrites unconditionally.
@@ -286,9 +206,7 @@ impl CoordinationService {
         if let Some(node) = inner.nodes.get_mut(path) {
             node.data = data;
             node.version += 1;
-            let v = node.version;
-            inner.notify(path, WatchKind::Modified);
-            v
+            node.version
         } else {
             inner.nodes.insert(
                 path.to_string(),
@@ -298,7 +216,6 @@ impl CoordinationService {
                     owner: None,
                 },
             );
-            inner.notify(path, WatchKind::Created);
             0
         }
     }
@@ -321,7 +238,6 @@ impl CoordinationService {
             }
         }
         inner.nodes.remove(path);
-        inner.notify(path, WatchKind::Deleted);
         Ok(())
     }
 
@@ -334,17 +250,6 @@ impl CoordinationService {
             .take_while(|(p, _)| p.starts_with(prefix))
             .map(|(p, _)| p.clone())
             .collect()
-    }
-
-    /// Registers a persistent watch on all paths under `prefix`. Events are
-    /// delivered through the returned channel until it is dropped.
-    pub fn watch(&self, prefix: &str) -> Receiver<WatchEvent> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().watchers.push(Watcher {
-            prefix: prefix.to_string(),
-            tx,
-        });
-        rx
     }
 }
 
@@ -441,57 +346,5 @@ mod tests {
             c.create(p, vec![], CreateMode::Persistent).unwrap();
         }
         assert_eq!(c.list("/x/"), vec!["/x/a".to_string(), "/x/b".to_string()]);
-    }
-
-    #[test]
-    fn watches_deliver_all_kinds() {
-        let c = CoordinationService::new();
-        let rx = c.watch("/w/");
-        c.create("/w/a", vec![], CreateMode::Persistent).unwrap();
-        c.set("/w/a", b"x".to_vec(), None).unwrap();
-        c.delete("/w/a", None).unwrap();
-        c.create("/other", vec![], CreateMode::Persistent).unwrap();
-        let events: Vec<WatchEvent> = rx.try_iter().collect();
-        assert_eq!(
-            events,
-            vec![
-                WatchEvent {
-                    path: "/w/a".into(),
-                    kind: WatchKind::Created
-                },
-                WatchEvent {
-                    path: "/w/a".into(),
-                    kind: WatchKind::Modified
-                },
-                WatchEvent {
-                    path: "/w/a".into(),
-                    kind: WatchKind::Deleted
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn sequential_nodes_are_ordered() {
-        let c = CoordinationService::new();
-        let p1 = c
-            .create_sequential("/el/n-", vec![], CreateMode::Persistent)
-            .unwrap();
-        let p2 = c
-            .create_sequential("/el/n-", vec![], CreateMode::Persistent)
-            .unwrap();
-        assert!(p1 < p2);
-        assert_eq!(c.list("/el/"), vec![p1, p2]);
-    }
-
-    #[test]
-    fn dropped_watch_receiver_is_pruned() {
-        let c = CoordinationService::new();
-        let rx = c.watch("/w/");
-        drop(rx);
-        // Next notification must not fail or leak the watcher.
-        c.create("/w/a", vec![], CreateMode::Persistent).unwrap();
-        c.create("/w/b", vec![], CreateMode::Persistent).unwrap();
-        assert!(c.exists("/w/b"));
     }
 }

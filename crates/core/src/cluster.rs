@@ -870,6 +870,10 @@ impl PravegaCluster {
     /// # Errors
     ///
     /// [`ClusterError::Other`] on timeout.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline-bounded drain poll for tests and diagnostics; retries nothing"
+    )]
     pub fn wait_for_tiering(&self, timeout: Duration) -> Result<(), ClusterError> {
         let deadline = clock::monotonic_now() + timeout;
         loop {

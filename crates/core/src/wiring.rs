@@ -62,6 +62,10 @@ impl Routing {
 }
 
 /// Calls a store synchronously, retrying once if the container is mid-move.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bounded store-readiness poll during wiring bootstrap"
+)]
 pub(crate) fn call_store(routing: &Routing, request: Request) -> Result<Reply, String> {
     let mut last_err = String::new();
     for _ in 0..50 {

@@ -425,8 +425,12 @@ impl FaultPlan {
     ///
     /// This is the sanctioned way to arm crash machinery: production crates
     /// thread the hook through their configs and fire it, while the arming
-    /// itself stays inside `pravega-faults` (enforced by the xtask
-    /// `crash-point` lint rule).
+    /// itself stays here (clippy's `disallowed_methods` bans
+    /// `CrashHook::armed` everywhere else).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one arming site: every armed hook flows from a seeded FaultPlan"
+    )]
     pub fn crash_hook(self: &Arc<Self>) -> CrashHook {
         let plan = Arc::clone(self);
         CrashHook::armed(move |point| plan.decide_crash(point))
@@ -478,9 +482,11 @@ pub fn corrupt_entry(
     applied.then_some(decision)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "an injected latency spike: the sleep is the slow backend being modeled, not a retry"
+)]
 fn spike(duration: Duration) {
-    // Latency-spike injection point; allowlisted for the retry-sleep lint
-    // (it simulates a slow backend, it is not a retry loop).
     std::thread::sleep(duration);
 }
 

@@ -416,6 +416,10 @@ impl<S: ChunkStorage> ThrottledChunkStorage<S> {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bandwidth/latency throttle model: the sleep is the simulated device"
+    )]
     fn charge(&self, bytes: usize) {
         let cost =
             Duration::from_secs_f64(bytes as f64 / self.model.bandwidth_bytes_per_sec as f64);

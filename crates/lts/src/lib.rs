@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Long-Term Storage (LTS): the scale-out tier historical stream data lives
 //! in (§2.2, §4.3).
 //!

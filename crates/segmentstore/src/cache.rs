@@ -497,6 +497,11 @@ impl BlockCache {
         Ok(freed)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "block chains are immutable while the owning entry is live; a broken chain \
+                  means the allocator's free/alloc accounting is corrupted"
+    )]
     fn delete_chain(&mut self, addr: CacheAddress) -> usize {
         let mut freed = 0usize;
         let mut cur = Some(addr);

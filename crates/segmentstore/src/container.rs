@@ -241,6 +241,11 @@ pub(crate) struct ContainerInner {
 }
 
 impl ContainerInner {
+    #[expect(
+        clippy::expect_used,
+        reason = "the durable log is set exactly once during container startup, before any \
+                  request can reach the container"
+    )]
     pub(crate) fn log(&self) -> &DurableLog {
         self.log.get().expect("durable log initialized at start")
     }
@@ -357,6 +362,11 @@ impl SegmentContainer {
             inner.config.clone(),
             metrics,
         )?;
+        #[expect(
+            clippy::expect_used,
+            reason = "`inner` was just recovered and nothing else has seen it, so this is the \
+                      first and only set"
+        )]
         inner.log.set(log).expect("log set exactly once at startup");
 
         let flusher = storagewriter::start_flusher(inner.clone())?;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The Pravega data plane: segment stores and segment containers (§2.2, §4).
 //!
 //! A **segment store** hosts **segment containers**; a segment maps to one

@@ -116,6 +116,10 @@ impl ContainerInner {
                 ReadDecision::Return(r) => return Ok(r),
                 ReadDecision::Fail(e) => return Err(e),
                 ReadDecision::Wait(pr) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`decide_read` returns Wait only when told a deadline exists"
+                    )]
                     let remaining = deadline
                         .expect("wait decision only with deadline")
                         .saturating_duration_since(clock::monotonic_now());

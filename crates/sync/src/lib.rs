@@ -26,6 +26,10 @@
 //! In release builds without the feature, the facade compiles down to the
 //! underlying `parking_lot` primitives with a 4-byte rank tag and no
 //! per-acquisition work.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the facade wraps parking_lot's locks and defines the guards it hands out"
+)]
 
 use std::fmt;
 

@@ -30,8 +30,6 @@ pub struct JournalConfig {
     /// Simulated device-sync latency for in-memory journals (zero for unit
     /// tests; the sim crate models real devices instead).
     pub simulated_sync_latency: Duration,
-    /// Maximum requests drained into a single group commit.
-    pub max_group_size: usize,
     /// Crash-point hook ([`crashpoints::WAL_JOURNAL_MID_WRITE`],
     /// [`crashpoints::WAL_JOURNAL_WRITE_NO_ACK`]); disarmed in production.
     pub crash_hook: CrashHook,
@@ -42,7 +40,6 @@ impl Default for JournalConfig {
         Self {
             sync_on_add: true,
             simulated_sync_latency: Duration::ZERO,
-            max_group_size: 4096,
             crash_hook: CrashHook::disarmed(),
         }
     }
@@ -79,6 +76,10 @@ impl JournalSink for MemSink {
         Ok(())
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "simulated journal fsync latency: models disk time, retries nothing"
+    )]
     fn sync(&mut self) -> Result<(), BookieError> {
         if !self.sync_latency.is_zero() {
             thread::sleep(self.sync_latency);
@@ -128,6 +129,9 @@ struct JournalRequest {
     completer: Completer<Result<(), BookieError>>,
 }
 
+/// Maximum requests drained into a single group commit.
+const MAX_GROUP_SIZE: usize = 4096;
+
 /// The journal thread's group-commit loop: drain a batch, write every
 /// record, sync once, then complete all acks with the shared result.
 fn journal_commit_loop(
@@ -139,7 +143,7 @@ fn journal_commit_loop(
 ) {
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        while batch.len() < config.max_group_size {
+        while batch.len() < MAX_GROUP_SIZE {
             match rx.try_recv() {
                 Ok(req) => batch.push(req),
                 Err(_) => break,

@@ -63,15 +63,6 @@ impl ReplicationConfig {
         }
         Ok(())
     }
-
-    /// Single-bookie configuration, for unit tests.
-    pub fn single() -> Self {
-        Self {
-            ensemble: 1,
-            write_quorum: 1,
-            ack_quorum: 1,
-        }
-    }
 }
 
 /// State of a ledger.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! A BookKeeper stand-in: the replicated write-ahead log Pravega uses for
 //! durability and low-latency appends (§2.2, §4.1).
 //!

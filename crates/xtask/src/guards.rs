@@ -2,15 +2,13 @@
 //!
 //! This pass tracks `pravega_sync` guard live ranges per function — from the
 //! `let` binding (or an expression temporary) to `drop(guard)`, shadowing, or
-//! the end of the enclosing block — and derives three things from them:
+//! the end of the enclosing block — and derives two things from them:
 //!
 //! 1. **guard-across-blocking** sites: a live guard at a call to a blocking
 //!    operation (sleeps, channel `recv`, `thread::join`, future/`Condvar`
 //!    waits on *other* locks, retry executions, and calls into functions that
 //!    themselves perform blocking work — file I/O, journal fsync, pacing).
-//! 2. **guard-escape** sites: guard types named in return position or stored
-//!    in struct/enum fields outside the sync facade.
-//! 3. Per-function summaries (acquisitions, acquired-while-held edges, calls
+//! 2. Per-function summaries (acquisitions, acquired-while-held edges, calls
 //!    made while holding) that `lockgraph` assembles into the whole-program
 //!    static lock-order graph.
 //!
@@ -76,25 +74,6 @@ pub struct FnSummary {
     /// The body directly executes a blocking primitive.
     pub blocks_directly: bool,
 }
-
-/// A guard type named in an escape position.
-#[derive(Debug)]
-pub struct EscapeSite {
-    /// `returned` or `stored in struct`.
-    pub how: &'static str,
-    pub type_name: String,
-    pub line: u32,
-    pub col: u32,
-}
-
-/// Per-file analysis results.
-#[derive(Debug, Default)]
-pub struct FileAnalysis {
-    pub fns: Vec<FnSummary>,
-    pub escapes: Vec<EscapeSite>,
-}
-
-const GUARD_TYPES: [&str; 3] = ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
 
 /// Blocking primitives recognised directly at a call site; each entry is
 /// `(method name, requires empty args, what)`. Method calls only (`.name(`).
@@ -212,13 +191,11 @@ pub fn guard_analysis_applies(rel: &Path, fixture_mode: bool) -> bool {
             .starts_with("crates/sync/")
 }
 
-/// Analyzes one file's token stream.
-pub fn analyze_file(rel: &Path, toks: &[Token<'_>], global_locks: &LockMap) -> FileAnalysis {
+/// Analyzes one file's token stream into per-function summaries.
+pub fn analyze_file(rel: &Path, toks: &[Token<'_>], global_locks: &LockMap) -> Vec<FnSummary> {
     let sig: Vec<&Token<'_>> = toks.iter().filter(|t| !t.is_trivia()).collect();
     let lock_fields = collect_lock_fields(&sig);
     let test_ranges = collect_test_ranges(&sig);
-    let mut escapes = Vec::new();
-    collect_escapes(&sig, &test_ranges, &mut escapes);
 
     let resolve = |field: &str| -> Option<String> {
         lock_fields
@@ -257,7 +234,7 @@ pub fn analyze_file(rel: &Path, toks: &[Token<'_>], global_locks: &LockMap) -> F
         }
         i += 1;
     }
-    FileAnalysis { fns, escapes }
+    fns
 }
 
 /// Workspace-wide `field → rank` map with ambiguity tracking, used as a
@@ -426,67 +403,6 @@ pub(crate) fn collect_test_ranges(sig: &[&Token<'_>]) -> Vec<(usize, usize)> {
         i += 1;
     }
     ranges
-}
-
-/// Guard types named in return position or stored in struct/enum fields.
-fn collect_escapes(sig: &[&Token<'_>], test_ranges: &[(usize, usize)], out: &mut Vec<EscapeSite>) {
-    let in_test = |i: usize| test_ranges.iter().any(|&(s, e)| i >= s && i < e);
-    let mut i = 0usize;
-    while i < sig.len() {
-        match sig[i].text {
-            "-" if i + 1 < sig.len() && sig[i + 1].text == ">" => {
-                // Return type: from after `->` to the body `{`, a `;`, or a
-                // `where` clause.
-                let mut j = i + 2;
-                while j < sig.len() && !matches!(sig[j].text, "{" | ";" | "where") {
-                    if GUARD_TYPES.contains(&sig[j].text) && !in_test(j) {
-                        out.push(EscapeSite {
-                            how: "returned",
-                            type_name: sig[j].text.to_string(),
-                            line: sig[j].line,
-                            col: sig[j].col,
-                        });
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            "struct" | "enum" => {
-                // Body: `{ … }` fields or `( … )` tuple fields; unit structs
-                // end at `;`.
-                let mut j = i + 1;
-                let mut depth = 0i32;
-                let mut started = false;
-                while j < sig.len() {
-                    match sig[j].text {
-                        "{" | "(" => {
-                            depth += 1;
-                            started = true;
-                        }
-                        "}" | ")" => {
-                            depth -= 1;
-                            if started && depth == 0 {
-                                break;
-                            }
-                        }
-                        ";" if !started => break,
-                        t if started && GUARD_TYPES.contains(&t) && !in_test(j) => {
-                            out.push(EscapeSite {
-                                how: "stored in struct",
-                                type_name: t.to_string(),
-                                line: sig[j].line,
-                                col: sig[j].col,
-                            });
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-            }
-            _ => i += 1,
-        }
-    }
 }
 
 /// Recognises a `fn` item starting at index `i`; returns
@@ -898,8 +814,7 @@ fn analyze_body(
 /// For an acquisition at `lock_idx` (the `lock`/`read`/`write` ident),
 /// detects the `name = <receiver>.lock();` reassignment shape and returns
 /// `name`. Rejects comparisons (`==`, `!=`, `<=`, `>=`), `let` bindings
-/// (handled by the caller), and field stores (`self.g = …`, guard-escape's
-/// territory).
+/// (handled by the caller), and field stores (`self.g = …`).
 fn reassign_target(sig: &[&Token<'_>], lock_idx: usize) -> Option<String> {
     // Walk back over the receiver path (`self . inner`, `mutex`).
     let mut k = lock_idx.checked_sub(2)?;
@@ -1026,7 +941,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn analyze(src: &str) -> FileAnalysis {
+    fn analyze(src: &str) -> Vec<FnSummary> {
         let toks = lex(src);
         analyze_file(
             Path::new("crates/wal/src/sample.rs"),
@@ -1066,7 +981,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let bad = a.fns.iter().find(|f| f.name == "bad").unwrap();
+        let bad = a.iter().find(|f| f.name == "bad").unwrap();
         assert_eq!(bad.blocking_held.len(), 1, "{bad:?}");
         assert_eq!(bad.blocking_held[0].what, "thread::sleep");
         assert!(bad.blocking_held[0].held[0].contains("WAL_LOG"));
@@ -1083,7 +998,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         assert_eq!(f.acquires, ["WAL_LOG"], "{f:?}");
     }
 
@@ -1102,7 +1017,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "three_phase").unwrap();
+        let f = a.iter().find(|f| f.name == "three_phase").unwrap();
         // The file I/O runs unlocked; only the sleep holds the revived guard.
         assert_eq!(f.blocking_held.len(), 1, "{f:?}");
         assert_eq!(f.blocking_held[0].what, "thread::sleep");
@@ -1121,7 +1036,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "cmp").unwrap();
+        let f = a.iter().find(|f| f.name == "cmp").unwrap();
         assert!(f.blocking_held.is_empty(), "{f:?}");
     }
 
@@ -1138,7 +1053,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let good = a.fns.iter().find(|f| f.name == "good").unwrap();
+        let good = a.iter().find(|f| f.name == "good").unwrap();
         assert!(good.blocking_held.is_empty(), "{good:?}");
         assert!(good.blocks_directly);
     }
@@ -1155,7 +1070,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let good = a.fns.iter().find(|f| f.name == "good").unwrap();
+        let good = a.iter().find(|f| f.name == "good").unwrap();
         assert!(good.blocking_held.is_empty(), "{good:?}");
     }
 
@@ -1174,7 +1089,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         // Only one guard (the second) is live at the sleep.
         assert_eq!(f.blocking_held.len(), 1);
         assert_eq!(f.blocking_held[0].held.len(), 1, "{f:?}");
@@ -1204,12 +1119,12 @@ mod tests {
                 }
             }";
         let a = analyze(src);
-        let ok = a.fns.iter().find(|f| f.name == "ok").unwrap();
+        let ok = a.iter().find(|f| f.name == "ok").unwrap();
         assert!(ok.blocking_held.is_empty(), "{ok:?}");
-        let timed = a.fns.iter().find(|f| f.name == "timed").unwrap();
+        let timed = a.iter().find(|f| f.name == "timed").unwrap();
         assert!(timed.blocking_held.is_empty(), "{timed:?}");
         assert!(timed.calls_held.is_empty(), "{timed:?}");
-        let bad = a.fns.iter().find(|f| f.name == "bad").unwrap();
+        let bad = a.iter().find(|f| f.name == "bad").unwrap();
         assert_eq!(bad.blocking_held.len(), 1, "{bad:?}");
         assert!(bad.blocking_held[0].held[0].contains("ga"), "{bad:?}");
     }
@@ -1228,7 +1143,7 @@ mod tests {
                 }
             }";
         let a = analyze(src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         assert_eq!(f.edges.len(), 1, "{f:?}");
         assert_eq!(f.edges[0].held, "CONTAINER_PROCESSOR");
         assert_eq!(f.edges[0].acquired, "CONTAINER_CORE");
@@ -1249,11 +1164,11 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         // The sleep happens on the spawned thread: no violation in `f`...
         assert!(f.blocking_held.is_empty(), "{f:?}");
         // ...and the detached context records it without inheriting guards.
-        let sp = a.fns.iter().find(|f| f.name.contains("@spawn")).unwrap();
+        let sp = a.iter().find(|f| f.name.contains("@spawn")).unwrap();
         assert!(sp.blocks_directly);
         assert!(sp.blocking_held.is_empty());
     }
@@ -1271,7 +1186,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         assert_eq!(f.calls_held.len(), 1, "{f:?}");
         assert_eq!(f.calls_held[0].callee, "flush_inner");
         assert_eq!(f.calls_held[0].held, vec!["WAL_LOG".to_string()]);
@@ -1289,7 +1204,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         assert!(f.blocking_held.is_empty(), "{f:?}");
     }
 
@@ -1309,25 +1224,9 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         let whats: Vec<&str> = f.blocking_held.iter().map(|b| b.what.as_str()).collect();
         assert_eq!(whats, vec!["channel recv", "thread join"], "{f:?}");
-    }
-
-    #[test]
-    fn guard_escape_detected_in_return_and_struct() {
-        let a = analyze(
-            "struct Holder { g: MutexGuard<'static, u32> }\n\
-             fn leak(m: &Mutex<u32>) -> MutexGuard<'_, u32> { m.lock() }\n\
-             fn fine(m: &Mutex<u32>) -> u32 { *m.lock() }",
-        );
-        let hows: Vec<&str> = a.escapes.iter().map(|e| e.how).collect();
-        assert_eq!(
-            hows,
-            vec!["stored in struct", "returned"],
-            "{:?}",
-            a.escapes
-        );
     }
 
     #[test]
@@ -1336,8 +1235,7 @@ mod tests {
             "#[cfg(test)]\nmod tests {\n fn f(m: &Mutex<u32>) -> MutexGuard<'_, u32> { m.lock() }\n}\n\
              #[test]\nfn t() { let g = m.lock(); std::thread::sleep(d); }\n",
         );
-        assert!(a.escapes.is_empty(), "{:?}", a.escapes);
-        assert!(a.fns.is_empty(), "{:?}", a.fns);
+        assert!(a.is_empty(), "{a:?}");
     }
 
     #[test]
@@ -1355,7 +1253,7 @@ mod tests {
             }}"
         );
         let a = analyze(&src);
-        let f = a.fns.iter().find(|f| f.name == "f").unwrap();
+        let f = a.iter().find(|f| f.name == "f").unwrap();
         assert_eq!(f.blocking_held.len(), 1, "{f:?}");
     }
 }

@@ -291,7 +291,7 @@ pub fn audit(
     out
 }
 
-fn line_of<'t>(text: &'t str, line: u32) -> &'t str {
+fn line_of(text: &str, line: u32) -> &str {
     text.lines().nth(line as usize - 1).unwrap_or("")
 }
 
@@ -343,13 +343,11 @@ fn scan_alloc_sites(
                             push(m.text.to_string(), m.line, m.col);
                         }
                         "collect" => push("collect".into(), m.line, m.col),
-                        "clone" => {
-                            // Only buffer-ish receivers: `payload.clone()`.
-                            if i > 0 && sig[i - 1].kind == TokenKind::Ident {
-                                let recv = sig[i - 1].text.to_ascii_lowercase();
-                                if BUFFERISH.iter().any(|b| recv.contains(b)) {
-                                    push(format!("clone of `{}`", sig[i - 1].text), m.line, m.col);
-                                }
+                        // Only buffer-ish receivers: `payload.clone()`.
+                        "clone" if i > 0 && sig[i - 1].kind == TokenKind::Ident => {
+                            let recv = sig[i - 1].text.to_ascii_lowercase();
+                            if BUFFERISH.iter().any(|b| recv.contains(b)) {
+                                push(format!("clone of `{}`", sig[i - 1].text), m.line, m.col);
                             }
                         }
                         _ => {}
@@ -516,7 +514,7 @@ mod tests {
 
     fn summaries(src: &str, file: &str) -> Vec<FnSummary> {
         let toks = lex(src);
-        guards::analyze_file(Path::new(file), &toks, &guards::LockMap::default()).fns
+        guards::analyze_file(Path::new(file), &toks, &guards::LockMap::default())
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Repo automation tasks (`cargo run -p xtask -- <task>`).
 //!
-//! The only task today is `lint`: a source-level static-analysis pass that
-//! enforces the concurrency discipline documented in `DESIGN.md`
-//! ("Concurrency discipline" and "Static concurrency analysis"). It layers
-//! two engines:
+//! The first task is `lint`: a token-level static-analysis pass (`lexer` +
+//! `guards` + `lockgraph` and the rules beside them) that enforces the
+//! concurrency discipline documented in `DESIGN.md` ("Concurrency
+//! discipline" and "Static concurrency analysis"). The textual rules —
+//! banned types and methods, `unwrap`/`expect` on the write path — are
+//! clippy's, configured in the root `clippy.toml`.
 //!
-//! - a line scanner for the textual rules (imports, call spellings, string
-//!   literals), and
-//! - a token-level analyzer (`lexer` + `guards` + `lockgraph`) for the
-//!   guard-liveness and lock-order rules.
-//!
-//! Both are dependency-free by design so the tool builds instantly anywhere.
+//! The analyzer is dependency-free by design so the tool builds instantly
+//! anywhere.
 //!
 //! Exit codes: 0 clean, 1 violations, 2 usage or I/O error.
 //!
@@ -335,7 +333,7 @@ mod tests {
                 path: "a\\b.rs".into(),
                 line: 3,
                 col: 7,
-                rule: "no-unwrap",
+                rule: "lock-order",
                 message: "say \"no\"".into(),
                 snippet: "\tx.unwrap()".into(),
             }],
