@@ -18,8 +18,14 @@
 //! event number. On (re)connection the writer handshakes with the store,
 //! learns the last durable event number, and resends only what is missing;
 //! the store deduplicates anything already applied (§3.2).
+//!
+//! Multiplexing: the writer dials one connection per store, whatever its
+//! segment count, and gives each segment a channel of its own on the
+//! connection to the segment's store (`pravega_common::wire`). A segment that
+//! reconnects takes a new channel; a connection that closed is dialled again
+//! by the first segment to find it closed.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,6 +78,7 @@ struct WriterMetrics {
     reconnects: Arc<Counter>,
     permanent_failures: Arc<Counter>,
     flush_nanos: Arc<Histogram>,
+    connections_opened: Arc<Counter>,
 }
 
 impl WriterMetrics {
@@ -84,6 +91,7 @@ impl WriterMetrics {
             flush_nanos: metrics.histogram("client.writer.flush_nanos"),
             reconnects: metrics.counter("client.writer.reconnects"),
             permanent_failures: metrics.counter("client.writer.permanent_failures"),
+            connections_opened: metrics.counter("client.writer.connections_opened"),
         }
     }
 }
@@ -129,6 +137,10 @@ impl std::fmt::Debug for OpenSegment {
 
 struct WriterState {
     segments: Vec<OpenSegment>,
+    /// One connection per store endpoint; each segment holds a channel of
+    /// its store's. Dropping the writer drops these and its segments'
+    /// channels, which closes the sockets.
+    connections: HashMap<String, Connection>,
     next_event_number: i64,
     initialized: bool,
     failed: Option<ClientError>,
@@ -192,6 +204,7 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
                 rank::CLIENT_WRITER,
                 WriterState {
                     segments: Vec::new(),
+                    connections: HashMap::new(),
                     next_event_number: 0,
                     initialized: false,
                     failed: None,
@@ -419,12 +432,32 @@ impl<T, S: Serializer<T>> Drop for EventStreamWriter<T, S> {
     }
 }
 
+/// A new channel to the store at `endpoint`, on the writer's connection to
+/// it. The connection is dialled first if the writer has none to that store
+/// or the one it has is closed.
+fn channel_to(
+    shared: &WriterShared,
+    connections: &mut HashMap<String, Connection>,
+    endpoint: &str,
+) -> Result<Connection, ClientError> {
+    if let Some(channel) = connections.get(endpoint).and_then(|c| c.channel().ok()) {
+        return Ok(channel);
+    }
+    let connection = shared.factory.connect(endpoint)?;
+    shared.metrics.connections_opened.inc();
+    let channel = connection
+        .channel()
+        .map_err(|e| ClientError::Disconnected(e.to_string()))?;
+    connections.insert(endpoint.to_string(), connection);
+    Ok(channel)
+}
+
 fn open_segment(
     shared: &Arc<WriterShared>,
+    connections: &mut HashMap<String, Connection>,
     info: SegmentWithRange,
 ) -> Result<OpenSegment, ClientError> {
-    let connection = shared.factory.connect(&info.endpoint)?;
-    connection.wake_on_reply(shared.pump_wakeup.clone());
+    let connection = channel_to(shared, connections, &info.endpoint)?;
     let mut seg = OpenSegment {
         info,
         connection,
@@ -439,8 +472,24 @@ fn open_segment(
         rate_origin: clock::monotonic_now(),
     };
     // Handshake: learn the last durable event number for this writer.
-    let _last = handshake(shared, &mut seg)?;
+    let _last = setup(shared, connections, &mut seg)?;
     Ok(seg)
+}
+
+/// Has the pump woken by `seg`'s new channel, and runs the handshake on it.
+fn setup(
+    shared: &Arc<WriterShared>,
+    connections: &mut HashMap<String, Connection>,
+    seg: &mut OpenSegment,
+) -> Result<i64, ClientError> {
+    seg.connection.wake_on_reply(shared.pump_wakeup.clone());
+    let result = handshake(shared, seg);
+    if result.is_err() {
+        // The connection may lead to a store that no longer hosts the
+        // segment: the next attempt dials afresh.
+        connections.remove(&seg.info.endpoint);
+    }
+    result
 }
 
 /// Performs SetupAppend and returns the last durable event number.
@@ -468,6 +517,10 @@ fn handshake(shared: &Arc<WriterShared>, seg: &mut OpenSegment) -> Result<i64, C
         return match envelope.reply {
             Reply::AppendSetup { last_event_number } => Ok(last_event_number),
             Reply::NoSuchSegment => Err(ClientError::NotFound),
+            // Not (or not yet) this store's segment: retry, re-resolved.
+            reply @ (Reply::WrongHost | Reply::ContainerNotReady) => Err(
+                ClientError::Disconnected(format!("handshake answered {reply:?}")),
+            ),
             other => Err(ClientError::Protocol(format!(
                 "unexpected handshake reply: {other:?}"
             ))),
@@ -487,7 +540,8 @@ fn ensure_initialized(
         return Err(ClientError::Sealed);
     }
     for info in current {
-        state.segments.push(open_segment(shared, info)?);
+        let seg = open_segment(shared, &mut state.connections, info)?;
+        state.segments.push(seg);
     }
     state.initialized = true;
     Ok(())
@@ -631,7 +685,8 @@ fn refresh_segments(
             .iter()
             .any(|s| s.info.segment == info.segment)
         {
-            state.segments.push(open_segment(shared, info)?);
+            let seg = open_segment(shared, &mut state.connections, info)?;
+            state.segments.push(seg);
         }
     }
     Ok(())
@@ -670,7 +725,8 @@ fn handle_sealed(
             .iter()
             .any(|s| s.info.segment == info.segment)
         {
-            state.segments.push(open_segment(shared, info)?);
+            let seg = open_segment(shared, &mut state.connections, info)?;
+            state.segments.push(seg);
         }
     }
     // Re-route pending events (their positions may now map to different
@@ -695,12 +751,18 @@ fn reconnect_retry_policy() -> RetryPolicy {
     }
 }
 
-/// Rebuilds and resends everything unacknowledged after a reconnect, using
-/// the handshake watermark to drop already-durable events.
-fn reconnect(shared: &Arc<WriterShared>, seg: &mut OpenSegment) -> Result<(), ClientError> {
-    seg.connection = shared.factory.connect(&seg.info.endpoint)?;
-    seg.connection.wake_on_reply(shared.pump_wakeup.clone());
-    let last_durable = handshake(shared, seg)?;
+/// Moves `seg` to a new channel, rebuilds and resends everything
+/// unacknowledged, using the handshake watermark to drop already-durable
+/// events. The old channel's late replies are dropped with it.
+fn reconnect(
+    shared: &Arc<WriterShared>,
+    connections: &mut HashMap<String, Connection>,
+    seg: &mut OpenSegment,
+) -> Result<(), ClientError> {
+    shared.metrics.reconnects.inc();
+    seg.connection = channel_to(shared, connections, &seg.info.endpoint)?;
+    seg.next_request_id = 1;
+    let last_durable = setup(shared, connections, seg)?;
     let mut pending: Vec<PendingEvent> = Vec::new();
     for block in seg.inflight.drain(..) {
         pending.extend(block.events);
@@ -796,16 +858,21 @@ fn pump_loop(shared: Arc<WriterShared>) {
             broken_indices.dedup();
             for idx in broken_indices.into_iter().rev() {
                 if idx < state.segments.len() {
-                    let seg = &mut state.segments[idx];
+                    let WriterState {
+                        segments,
+                        connections,
+                        ..
+                    } = &mut *state;
+                    let seg = &mut segments[idx];
                     let attempt = std::cell::Cell::new(0u32);
                     let result = reconnect_retry_policy().run(
-                        |_, _| shared.metrics.reconnects.inc(),
+                        |_, _| {},
                         || {
                             if attempt.replace(attempt.get() + 1) > 0 {
                                 seg.info.endpoint =
                                     shared.controller.endpoint_for(&seg.info.segment);
                             }
-                            reconnect(&shared, seg)
+                            reconnect(&shared, connections, seg)
                         },
                     );
                     if let Err(e) = result {

@@ -8,38 +8,45 @@
 //!  client                                        server
 //!  ──────                                        ──────
 //!  send() ──▶ [bounded queue] ──▶ writer thread  reader thread ──▶ [bounded queue] ──▶ recv()
-//!                                     │ frames      │ frames
+//!   (any channel)                     │ frames      │ frames
 //!                                     ▼             ▲
 //!                                 TCP socket ═══════╝
-//!  recv() ◀── [queue] ◀── reader thread         writer thread ◀── [bounded queue] ◀── send()
+//!  recv() ◀── [channel's queue] ◀── reader thread  writer thread ◀── [bounded queue] ◀── send()
+//!                       (routed by request id)
 //! ```
+//!
+//! One socket carries every channel of its link (see [`crate::wire`]): the
+//! channels share the send queue and the two client threads, and the reader
+//! thread routes each reply to its channel's queue by request id.
 //!
 //! Backpressure is structural, not advisory:
 //!
 //! * A **client** whose peer stops draining fills its bounded send queue, at
-//!   which point [`Transport::send`] blocks (and the socket's own buffers
-//!   push back on the writer thread).
+//!   which point [`crate::wire::Transport::send`] blocks (and the socket's
+//!   own buffers push back on the writer thread).
 //! * A **server** whose handler falls behind stops pulling from its bounded
 //!   inbound queue; the reader thread blocks feeding it and stops reading
 //!   the socket, so the kernel's receive window closes and the client's
 //!   writes stall. Slow consumers slow *their* connection only.
 //!
+//! The client's reader thread never blocks on a channel: a channel whose
+//! reply queue is full is closed (see [`crate::wire::CHANNEL_REPLY_DEPTH`]),
+//! so one owner that stops reading cannot stall its siblings' replies.
+//!
 //! Any socket error, EOF, or [`crate::protocol::CodecError`] tears the
 //! connection down: both threads exit, the socket is shut down, and every
-//! queued operation surfaces [`ConnectionClosed`].
+//! queued operation on every channel surfaces [`ConnectionClosed`].
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::protocol::FrameDecoder;
 use crate::wire::{
-    Connection, ConnectionClosed, ReplyEnvelope, ReplyWakeup, RequestEnvelope, ServerEnd,
-    ServerTransport, Transport, Wakeup,
+    self, Connection, ConnectionClosed, ReplyEnvelope, RequestEnvelope, ServerEnd, ServerTransport,
 };
 
 // Historically defined here; now shared with the in-process transport so
@@ -115,47 +122,12 @@ fn read_pump<T>(
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Client-side framed TCP transport.
-struct TcpClientTransport {
-    tx: Sender<RequestEnvelope>,
-    rx: Receiver<ReplyEnvelope>,
-    wakeup: Arc<ReplyWakeup>,
-}
-
-impl Transport for TcpClientTransport {
-    fn send(&self, envelope: RequestEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)
-    }
-
-    fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
-        self.rx.recv().map_err(|_| ConnectionClosed)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ConnectionClosed),
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.try_recv() {
-            Ok(env) => Ok(Some(env)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(ConnectionClosed),
-        }
-    }
-
-    fn wake_on_reply(&self, wakeup: Arc<Wakeup>) {
-        self.wakeup.register(wakeup);
-    }
-}
-
 /// Opens a framed TCP connection to a segment store frontend.
 ///
 /// The returned [`Connection`] behaves identically to an embedded one; the
-/// caller cannot tell (and must not care) which transport backs it.
+/// caller cannot tell (and must not care) which transport backs it. It is
+/// the first channel of the socket's link: [`Connection::channel`] opens
+/// more on the same socket.
 ///
 /// # Errors
 ///
@@ -174,10 +146,6 @@ pub fn connect(addr: SocketAddr) -> std::io::Result<Connection> {
 pub fn connect_stream(stream: TcpStream) -> std::io::Result<Connection> {
     stream.set_nodelay(true)?;
     let (req_tx, req_rx) = bounded::<RequestEnvelope>(SEND_QUEUE_DEPTH);
-    // Bounded like the request direction: a client that stops consuming
-    // replies stalls the reader pump, which stops reading the socket and
-    // closes the kernel receive window back to the server (§4).
-    let (rep_tx, rep_rx) = bounded::<ReplyEnvelope>(SEND_QUEUE_DEPTH);
 
     let writer_stream = stream.try_clone()?;
     spawn_named("tcp-cli-writer", move || {
@@ -185,28 +153,15 @@ pub fn connect_stream(stream: TcpStream) -> std::io::Result<Connection> {
             crate::protocol::encode_request(env, out);
         });
     })?;
-    let wakeup = Arc::new(ReplyWakeup::default());
-    let reader_wakeup = wakeup.clone();
+    // The reader holds only the router, never a request sender: once every
+    // channel is dropped the writer thread exits and shuts the socket, and
+    // the reader follows on EOF.
+    let (connection, router) = wire::link(req_tx);
     spawn_named("tcp-cli-reader", move || {
-        read_pump(
-            stream,
-            |dec| dec.next_reply(),
-            |env| {
-                rep_tx.send(env).map_err(|_| ConnectionClosed)?;
-                reader_wakeup.wake();
-                Ok(())
-            },
-        );
-        // Wake the owner to a queue that already reads as disconnected.
-        drop(rep_tx);
-        reader_wakeup.wake();
+        read_pump(stream, |dec| dec.next_reply(), |env| router.deliver(env));
+        router.close();
     })?;
-
-    Ok(Connection::from_transport(Arc::new(TcpClientTransport {
-        tx: req_tx,
-        rx: rep_rx,
-        wakeup,
-    })))
+    Ok(connection)
 }
 
 /// Server-side framed TCP transport for one accepted connection.
@@ -265,7 +220,7 @@ pub fn serve_stream(stream: TcpStream) -> std::io::Result<ServerEnd> {
 mod tests {
     use super::*;
     use crate::id::{ScopedStream, SegmentId};
-    use crate::wire::{Reply, Request};
+    use crate::wire::{Reply, Request, Wakeup};
     use std::net::TcpListener;
 
     fn seg() -> crate::id::ScopedSegment {
@@ -343,5 +298,130 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
         srv.join().unwrap();
+    }
+
+    fn info(request_id: u64) -> RequestEnvelope {
+        RequestEnvelope {
+            request_id,
+            request: Request::GetSegmentInfo { segment: seg() },
+        }
+    }
+
+    /// A server over the one socket `listener` accepts: it collects `batch`
+    /// requests, then answers them in reverse order, and repeats until the
+    /// client hangs up. Returns the wire ids it saw.
+    fn reverse_echo(listener: TcpListener, batch: usize) -> std::thread::JoinHandle<Vec<u64>> {
+        std::thread::spawn(move || {
+            let (sock, _) = listener.accept().unwrap();
+            let server = serve_stream(sock).unwrap();
+            let mut seen = Vec::new();
+            loop {
+                let mut ids = Vec::new();
+                while ids.len() < batch {
+                    match server.recv() {
+                        Ok(req) => ids.push(req.request_id),
+                        Err(_) => return seen,
+                    }
+                }
+                for &request_id in ids.iter().rev() {
+                    let reply = Reply::NoSuchSegment;
+                    let _ = server.send(ReplyEnvelope { request_id, reply });
+                }
+                seen.extend(ids);
+            }
+        })
+    }
+
+    /// True if `wakeup` has a latched wake-up (its wait returns at once).
+    fn woken(wakeup: &Wakeup) -> bool {
+        let from = crate::clock::monotonic_now();
+        wakeup.wait_until(Some(from + std::time::Duration::from_secs(2)));
+        from.elapsed() < std::time::Duration::from_secs(1)
+    }
+
+    #[test]
+    fn channels_share_one_socket_and_each_get_their_own_replies() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let srv = reverse_echo(listener, 20);
+        let a = connect(addr).unwrap();
+        let b = a.channel().unwrap();
+        for id in 1..=10 {
+            a.send(info(id)).unwrap();
+            b.send(info(id)).unwrap();
+        }
+        let got = |conn: &Connection| -> Vec<u64> {
+            (0..10).map(|_| conn.recv().unwrap().request_id).collect()
+        };
+        let expected: Vec<u64> = (1..=10).rev().collect();
+        assert_eq!(got(&a), expected);
+        assert_eq!(got(&b), expected);
+        drop((a, b));
+        let mut wire = srv.join().unwrap();
+        wire.sort_unstable();
+        wire.dedup();
+        assert_eq!(wire.len(), 20, "one socket, distinct ids on the wire");
+    }
+
+    #[test]
+    fn a_reply_for_a_dropped_channel_is_discarded_over_tcp() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let srv = reverse_echo(listener, 2);
+        let a = connect(addr).unwrap();
+        let b = a.channel().unwrap();
+        b.send(info(1)).unwrap();
+        drop(b);
+        a.send(info(1)).unwrap();
+        assert_eq!(a.recv().unwrap().request_id, 1);
+        // b's reply was answered first and dropped on the way in.
+        let c = a.channel().unwrap();
+        c.send(info(2)).unwrap();
+        a.send(info(3)).unwrap();
+        assert_eq!(c.recv().unwrap().request_id, 2);
+        assert_eq!(a.recv().unwrap().request_id, 3);
+        assert_eq!(a.try_recv().unwrap().map(|e| e.request_id), None);
+        drop((a, c));
+        srv.join().unwrap();
+    }
+
+    #[test]
+    fn a_severed_socket_closes_every_channel_and_wakes_each_owner() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let a = connect(addr).unwrap();
+        let b = a.channel().unwrap();
+        let (wake_a, wake_b) = (Arc::new(Wakeup::default()), Arc::new(Wakeup::default()));
+        a.wake_on_reply(wake_a.clone());
+        b.wake_on_reply(wake_b.clone());
+        let (sock, _) = listener.accept().unwrap();
+        drop(sock);
+        assert_eq!(a.recv(), Err(ConnectionClosed));
+        assert_eq!(b.recv(), Err(ConnectionClosed));
+        assert!(
+            woken(&wake_a) && woken(&wake_b),
+            "a closed link wakes every owner"
+        );
+        assert_eq!(a.channel().err(), Some(ConnectionClosed));
+        assert_eq!(b.channel().err(), Some(ConnectionClosed));
+    }
+
+    #[test]
+    fn an_id_past_the_channel_id_space_is_refused_over_tcp() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let srv = reverse_echo(listener, 1);
+        let a = connect(addr).unwrap();
+        let b = a.channel().unwrap();
+        assert_eq!(
+            b.send(info(crate::wire::CHANNEL_ID_MAX + 1)),
+            Err(ConnectionClosed)
+        );
+        assert_eq!(b.try_recv(), Err(ConnectionClosed), "the channel closed");
+        a.send(info(crate::wire::CHANNEL_ID_MAX)).unwrap();
+        assert_eq!(a.recv().unwrap().request_id, crate::wire::CHANNEL_ID_MAX);
+        drop((a, b));
+        let wire = srv.join().unwrap();
+        assert_eq!(wire, vec![crate::wire::CHANNEL_ID_MAX], "only a's id left");
     }
 }

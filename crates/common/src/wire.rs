@@ -11,8 +11,22 @@
 //! TCP socket (see [`crate::protocol`] for the frame layout and
 //! `pravega_segmentstore`'s frontend for the server side). Client code never
 //! sees which one it got.
+//!
+//! One link — a socket, or an in-process pair — carries many **channels**.
+//! Every [`Connection`] either transport hands out is a channel of its link,
+//! and [`Connection::channel`] opens another one on the same link. A channel
+//! has its own `request_id` space, its own bounded reply queue and its own
+//! [`Transport::wake_on_reply`] registration, so it behaves like a
+//! connection of its own; an event writer gives each segment a channel on
+//! one link per store. On the wire a channel's number rides in the bits of
+//! the `request_id` above its own id space. The point where the transport
+//! delivers replies (the `tcp-cli-reader` thread, the server end of the
+//! in-process pair) routes each one to its channel by those bits and hands
+//! the channel back the id it sent. The server never looks at them: it echoes
+//! ids, as it always has.
 
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -29,6 +43,28 @@ use crate::id::{ScopedSegment, WriterId};
 /// the embedded transport exhibits the same §4 structural backpressure as
 /// the socket path.
 pub const SEND_QUEUE_DEPTH: usize = 1024;
+
+/// Replies a channel queues for its owner. A reply that finds the queue full
+/// closes the channel instead of waiting for room: the link's other channels
+/// must not stall behind one owner that stopped draining, and that owner
+/// recovers like any client whose connection dropped (a writer reconnects
+/// and re-runs its handshake). A channel's replies answer its own requests,
+/// so the queue fills only when more than this many are outstanding and
+/// unread.
+pub const CHANNEL_REPLY_DEPTH: usize = 1024;
+
+/// Low bits of a wire `request_id` that carry the channel's own id; the bits
+/// above carry the channel's number.
+const CHANNEL_ID_BITS: u32 = 40;
+
+/// Largest `request_id` a channel may send. A larger one is refused with
+/// [`ConnectionClosed`] and closes the channel, so it can never be answered
+/// into another channel's queue.
+pub const CHANNEL_ID_MAX: u64 = (1 << CHANNEL_ID_BITS) - 1;
+
+/// Channels one link can open in its life. Numbers are never reused, so a
+/// late reply for a dropped channel cannot reach a newer one.
+const MAX_CHANNELS: u64 = 1 << (u64::BITS - CHANNEL_ID_BITS);
 
 /// A single key/value update against a table segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -363,37 +399,6 @@ impl Wakeup {
     }
 }
 
-/// The slot a client transport keeps its owner's [`Wakeup`] in, shared with
-/// whatever delivers replies into the transport's queue.
-#[derive(Debug, Default)]
-pub(crate) struct ReplyWakeup(OnceLock<Arc<Wakeup>>);
-
-impl ReplyWakeup {
-    pub(crate) fn register(&self, wakeup: Arc<Wakeup>) {
-        // One owner per connection: a second registration is ignored.
-        let _ = self.0.set(wakeup);
-    }
-
-    /// Call *after* the reply is queued (or the queue's sender is dropped),
-    /// so the woken owner finds it.
-    pub(crate) fn wake(&self) {
-        if let Some(wakeup) = self.0.get() {
-            wakeup.wake();
-        }
-    }
-}
-
-/// Wakes the client's [`Wakeup`] when dropped. Declared *after* the reply
-/// sender in the struct that owns both, so the owner wakes to a queue that
-/// already reads as disconnected.
-struct WakeOnDrop(Arc<ReplyWakeup>);
-
-impl Drop for WakeOnDrop {
-    fn drop(&mut self) {
-        self.0.wake();
-    }
-}
-
 /// Client side of a duplex message link to a segment store.
 ///
 /// Implementations: the in-process channel pair ([`connection_pair`]) and
@@ -434,7 +439,8 @@ pub trait Transport: Send + Sync {
     /// Registers `wakeup` to be notified whenever a reply becomes available
     /// to [`Transport::try_recv`] or the link closes. Register before the
     /// first send: earlier arrivals are not signalled. One registration per
-    /// connection; later ones are ignored.
+    /// connection (per channel, on the built-in transports); later ones are
+    /// ignored.
     fn wake_on_reply(&self, wakeup: Arc<Wakeup>);
 }
 
@@ -457,11 +463,21 @@ pub trait ServerTransport: Send + Sync {
 
 /// Client end of a connection to a segment store.
 ///
-/// A thin handle over an [`Transport`] implementation; cloning shares the
-/// underlying link (like a duplicated socket fd).
+/// A thin handle over a [`Transport`] implementation; cloning shares the
+/// underlying channel (like a duplicated socket fd). Both built-in
+/// transports hand out channels of a link, and [`Connection::channel`] opens
+/// siblings on the same link (see the module docs).
 #[derive(Clone)]
 pub struct Connection {
-    inner: Arc<dyn Transport>,
+    inner: Inner,
+}
+
+#[derive(Clone)]
+enum Inner {
+    /// A channel of one of this module's links.
+    Channel(Arc<Channel>),
+    /// A transport wrapped with [`Connection::from_transport`].
+    Foreign(Arc<dyn Transport>),
 }
 
 impl std::fmt::Debug for Connection {
@@ -473,16 +489,44 @@ impl std::fmt::Debug for Connection {
 impl Connection {
     /// Wraps an arbitrary transport implementation.
     pub fn from_transport(inner: Arc<dyn Transport>) -> Self {
-        Connection { inner }
+        Connection {
+            inner: Inner::Foreign(inner),
+        }
+    }
+
+    fn transport(&self) -> &dyn Transport {
+        match &self.inner {
+            Inner::Channel(channel) => channel.as_ref(),
+            Inner::Foreign(transport) => transport.as_ref(),
+        }
+    }
+
+    /// Opens a new channel on this connection's link: a connection of its
+    /// own to the same store, with its own request ids, reply queue and
+    /// [`Connection::wake_on_reply`] registration, that costs no socket and
+    /// no thread.
+    ///
+    /// # Errors
+    ///
+    /// [`ConnectionClosed`] once the link has closed (its socket was
+    /// severed, or its server end dropped), so a dead link is never handed
+    /// out again; and for a connection built with
+    /// [`Connection::from_transport`], which has no link to share.
+    pub fn channel(&self) -> Result<Connection, ConnectionClosed> {
+        match &self.inner {
+            Inner::Channel(channel) => channel.router.open_channel(&channel.requests),
+            Inner::Foreign(_) => Err(ConnectionClosed),
+        }
     }
 
     /// Sends a request without waiting for the reply (pipelining).
     ///
     /// # Errors
     ///
-    /// Returns [`ConnectionClosed`] if the server end was dropped.
+    /// Returns [`ConnectionClosed`] if the server end was dropped, or if
+    /// `request_id` is above [`CHANNEL_ID_MAX`] (which closes the channel).
     pub fn send(&self, envelope: RequestEnvelope) -> Result<(), ConnectionClosed> {
-        self.inner.send(envelope)
+        self.transport().send(envelope)
     }
 
     /// Blocks until the next reply arrives.
@@ -491,7 +535,7 @@ impl Connection {
     ///
     /// Returns [`ConnectionClosed`] if the server end was dropped.
     pub fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
-        self.inner.recv()
+        self.transport().recv()
     }
 
     /// Waits up to `timeout` for the next reply; `Ok(None)` on timeout.
@@ -503,7 +547,7 @@ impl Connection {
         &self,
         timeout: std::time::Duration,
     ) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        self.inner.recv_timeout(timeout)
+        self.transport().recv_timeout(timeout)
     }
 
     /// Non-blocking receive; `Ok(None)` when no reply is pending.
@@ -512,17 +556,19 @@ impl Connection {
     ///
     /// Returns [`ConnectionClosed`] if the server end was dropped.
     pub fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        self.inner.try_recv()
+        self.transport().try_recv()
     }
 
     /// Has `wakeup` notified whenever [`Connection::try_recv`] would return a
     /// reply or an error; see [`Transport::wake_on_reply`].
     pub fn wake_on_reply(&self, wakeup: Arc<Wakeup>) {
-        self.inner.wake_on_reply(wakeup);
+        self.transport().wake_on_reply(wakeup);
     }
 
-    /// Convenience: send one request and block for its (matching) reply.
-    /// Only valid on connections not used for pipelined traffic.
+    /// Convenience: send one request and block for its reply. Replies to
+    /// this channel's other requests are skipped, so call it with nothing
+    /// else outstanding on the channel; other channels' replies never reach
+    /// it.
     ///
     /// # Errors
     ///
@@ -581,28 +627,202 @@ impl ServerEnd {
     }
 }
 
-/// In-process client transport: a pair of crossbeam channels standing in for
-/// a socket.
-struct ChannelTransport {
-    tx: Sender<RequestEnvelope>,
-    rx: Receiver<ReplyEnvelope>,
-    wakeup: Arc<ReplyWakeup>,
+/// The reply side of a link: which channel each reply belongs to.
+///
+/// Shared by the link's channels and by the link's reply delivery (the
+/// `tcp-cli-reader` thread, or the server end of an in-process pair). It
+/// holds no request sender, so it never keeps a link open.
+pub(crate) struct Router {
+    routes: Mutex<Routes>,
 }
 
-impl Transport for ChannelTransport {
+struct Routes {
+    /// Set once the link is gone: no channel opens after that.
+    closed: bool,
+    /// The number the next channel gets.
+    next: u64,
+    /// The open channels, by number.
+    open: HashMap<u64, Route>,
+}
+
+/// Where one channel's replies go.
+struct Route {
+    replies: Sender<ReplyEnvelope>,
+    /// The owner's, from [`Transport::wake_on_reply`].
+    wakeup: Option<Arc<Wakeup>>,
+}
+
+impl Route {
+    fn new() -> (Route, Receiver<ReplyEnvelope>) {
+        let (reply_tx, replies) = bounded(CHANNEL_REPLY_DEPTH);
+        let route = Route {
+            replies: reply_tx,
+            wakeup: None,
+        };
+        (route, replies)
+    }
+}
+
+/// Starts a link whose requests go into `requests`: returns its first
+/// channel, and the router its replies are to be delivered through.
+pub(crate) fn link(requests: Sender<RequestEnvelope>) -> (Connection, Arc<Router>) {
+    let (route, replies) = Route::new();
+    let routes = Routes {
+        closed: false,
+        next: 1,
+        open: HashMap::from([(0, route)]),
+    };
+    let router = Arc::new(Router {
+        routes: Mutex::new(rank::WIRE_ROUTES, routes),
+    });
+    let channel = Channel {
+        requests,
+        router: router.clone(),
+        number: 0,
+        replies,
+    };
+    let connection = Connection {
+        inner: Inner::Channel(Arc::new(channel)),
+    };
+    (connection, router)
+}
+
+impl Router {
+    /// Opens a channel whose requests go into `requests`, the link's queue.
+    fn open_channel(
+        self: &Arc<Self>,
+        requests: &Sender<RequestEnvelope>,
+    ) -> Result<Connection, ConnectionClosed> {
+        let (route, replies) = Route::new();
+        let number = {
+            let mut routes = self.routes.lock();
+            if routes.closed || routes.next >= MAX_CHANNELS {
+                return Err(ConnectionClosed);
+            }
+            let number = routes.next;
+            routes.next += 1;
+            routes.open.insert(number, route);
+            number
+        };
+        let channel = Channel {
+            requests: requests.clone(),
+            router: self.clone(),
+            number,
+            replies,
+        };
+        Ok(Connection {
+            inner: Inner::Channel(Arc::new(channel)),
+        })
+    }
+
+    /// Hands `envelope` to the channel its `request_id` names, with the id
+    /// that channel sent, and wakes the channel's owner. A reply for a
+    /// channel that is gone is dropped; one that finds its channel's queue
+    /// full closes that channel (see [`CHANNEL_REPLY_DEPTH`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ConnectionClosed`] once no channel of the link is left: the client
+    /// hung up.
+    pub(crate) fn deliver(&self, envelope: ReplyEnvelope) -> Result<(), ConnectionClosed> {
+        let number = envelope.request_id >> CHANNEL_ID_BITS;
+        let reply = ReplyEnvelope {
+            request_id: envelope.request_id & CHANNEL_ID_MAX,
+            reply: envelope.reply,
+        };
+        let mut routes = self.routes.lock();
+        if routes.open.is_empty() {
+            return Err(ConnectionClosed);
+        }
+        let Some(route) = routes.open.get(&number) else {
+            return Ok(());
+        };
+        let wakeup = match route.replies.try_send(reply) {
+            Ok(()) => route.wakeup.clone(),
+            Err(_) => routes.open.remove(&number).and_then(|route| route.wakeup),
+        };
+        drop(routes);
+        // After the queue changed, so the woken owner finds the reply (or
+        // the closed channel).
+        if let Some(wakeup) = wakeup {
+            wakeup.wake();
+        }
+        Ok(())
+    }
+
+    /// Closes one channel: its owner reads what is queued, then
+    /// [`ConnectionClosed`].
+    fn close_channel(&self, number: u64) {
+        let route = self.routes.lock().open.remove(&number);
+        if let Some(wakeup) = route.and_then(|route| route.wakeup) {
+            wakeup.wake();
+        }
+    }
+
+    /// Closes the link: every channel reads what it has queued, then
+    /// [`ConnectionClosed`], and its owner is woken to find that out. No
+    /// channel opens after.
+    pub(crate) fn close(&self) {
+        let routes = {
+            let mut routes = self.routes.lock();
+            routes.closed = true;
+            std::mem::take(&mut routes.open)
+        };
+        for Route { replies, wakeup } in routes.into_values() {
+            // Before the wake-up, so the owner wakes to a disconnected queue.
+            drop(replies);
+            if let Some(wakeup) = wakeup {
+                wakeup.wake();
+            }
+        }
+    }
+
+    fn register(&self, number: u64, wakeup: Arc<Wakeup>) {
+        let mut routes = self.routes.lock();
+        if let Some(route) = routes.open.get_mut(&number) {
+            // One owner per channel: a second registration is ignored.
+            route.wakeup.get_or_insert(wakeup);
+            return;
+        }
+        drop(routes);
+        // The channel is closed already: its owner finds out at once.
+        wakeup.wake();
+    }
+}
+
+/// One channel of a link: the [`Transport`] behind every [`Connection`] the
+/// built-in transports hand out.
+struct Channel {
+    /// The link's request queue, shared by all its channels.
+    requests: Sender<RequestEnvelope>,
+    router: Arc<Router>,
+    number: u64,
+    replies: Receiver<ReplyEnvelope>,
+}
+
+impl Transport for Channel {
     fn send(&self, envelope: RequestEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)
+        if envelope.request_id > CHANNEL_ID_MAX {
+            self.router.close_channel(self.number);
+            return Err(ConnectionClosed);
+        }
+        self.requests
+            .send(RequestEnvelope {
+                request_id: (self.number << CHANNEL_ID_BITS) | envelope.request_id,
+                request: envelope.request,
+            })
+            .map_err(|_| ConnectionClosed)
     }
 
     fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
-        self.rx.recv().map_err(|_| ConnectionClosed)
+        self.replies.recv().map_err(|_| ConnectionClosed)
     }
 
     fn recv_timeout(
         &self,
         timeout: std::time::Duration,
     ) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.recv_timeout(timeout) {
+        match self.replies.recv_timeout(timeout) {
             Ok(env) => Ok(Some(env)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(ConnectionClosed),
@@ -610,7 +830,7 @@ impl Transport for ChannelTransport {
     }
 
     fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.try_recv() {
+        match self.replies.try_recv() {
             Ok(env) => Ok(Some(env)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(ConnectionClosed),
@@ -618,54 +838,53 @@ impl Transport for ChannelTransport {
     }
 
     fn wake_on_reply(&self, wakeup: Arc<Wakeup>) {
-        self.wakeup.register(wakeup);
+        self.router.register(self.number, wakeup);
     }
 }
 
-/// In-process server transport: the other two channel halves.
-struct ChannelServerTransport {
-    rx: Receiver<RequestEnvelope>,
-    tx: Sender<ReplyEnvelope>,
-    wakeup: WakeOnDrop,
+impl Drop for Channel {
+    fn drop(&mut self) {
+        self.router.close_channel(self.number);
+    }
 }
 
-impl ServerTransport for ChannelServerTransport {
+/// In-process server transport: the request queue's receiving end, and the
+/// router replies go through.
+struct PairServerTransport {
+    rx: Receiver<RequestEnvelope>,
+    router: Arc<Router>,
+}
+
+impl ServerTransport for PairServerTransport {
     fn recv(&self) -> Result<RequestEnvelope, ConnectionClosed> {
         self.rx.recv().map_err(|_| ConnectionClosed)
     }
 
     fn send(&self, envelope: ReplyEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)?;
-        self.wakeup.0.wake();
-        Ok(())
+        self.router.deliver(envelope)
+    }
+}
+
+impl Drop for PairServerTransport {
+    fn drop(&mut self) {
+        // The server hung up: every channel wakes to a closed link.
+        self.router.close();
     }
 }
 
 /// Creates a connected in-process (client, server) pair, like
 /// `socketpair(2)`. This is the embedded transport every in-process cluster
-/// uses. Both directions are bounded at [`SEND_QUEUE_DEPTH`] so a stalled
-/// server (or client) pushes back on the sender instead of growing an
-/// unbounded queue — the same backpressure contract as the TCP transport.
+/// uses. Requests are bounded at [`SEND_QUEUE_DEPTH`], so a stalled server
+/// pushes back on the sender instead of growing an unbounded queue, and each
+/// channel's replies at [`CHANNEL_REPLY_DEPTH`] — the same contract as the
+/// TCP transport.
 pub fn connection_pair() -> (Connection, ServerEnd) {
     let (req_tx, req_rx) = bounded(SEND_QUEUE_DEPTH);
-    let (rep_tx, rep_rx) = bounded(SEND_QUEUE_DEPTH);
-    let wakeup = Arc::new(ReplyWakeup::default());
-    (
-        Connection {
-            inner: Arc::new(ChannelTransport {
-                tx: req_tx,
-                rx: rep_rx,
-                wakeup: wakeup.clone(),
-            }),
-        },
-        ServerEnd {
-            inner: Arc::new(ChannelServerTransport {
-                rx: req_rx,
-                tx: rep_tx,
-                wakeup: WakeOnDrop(wakeup),
-            }),
-        },
-    )
+    let (client, router) = link(req_tx);
+    let server = ServerEnd {
+        inner: Arc::new(PairServerTransport { rx: req_rx, router }),
+    };
+    (client, server)
 }
 
 #[cfg(test)]
@@ -781,5 +1000,192 @@ mod tests {
     fn request_segment_routing_accessor() {
         let r = Request::SealSegment { segment: seg() };
         assert_eq!(r.segment(), &seg());
+    }
+
+    fn info(request_id: u64) -> RequestEnvelope {
+        RequestEnvelope {
+            request_id,
+            request: Request::GetSegmentInfo { segment: seg() },
+        }
+    }
+
+    fn answer(server: &ServerEnd, request_id: u64) {
+        server
+            .send(ReplyEnvelope {
+                request_id,
+                reply: Reply::NoSuchSegment,
+            })
+            .unwrap();
+    }
+
+    /// Drains `conn` until it reads as closed; returns the ids it got.
+    fn ids_until_closed(conn: &Connection) -> Vec<u64> {
+        let mut ids = Vec::new();
+        loop {
+            match conn.try_recv() {
+                Ok(Some(env)) => ids.push(env.request_id),
+                Ok(None) => panic!("channel still open after {ids:?}"),
+                Err(ConnectionClosed) => return ids,
+            }
+        }
+    }
+
+    /// True if `wakeup` has a latched wake-up (its wait returns at once).
+    fn woken(wakeup: &Wakeup) -> bool {
+        let from = clock::monotonic_now();
+        wakeup.wait_until(Some(from + std::time::Duration::from_secs(2)));
+        from.elapsed() < std::time::Duration::from_secs(1)
+    }
+
+    #[test]
+    fn channels_of_one_link_each_get_their_own_replies() {
+        let (a, server) = connection_pair();
+        let b = a.channel().unwrap();
+        // Both channels use the same ids, interleaved on the one link.
+        for id in 1..=5 {
+            a.send(info(id)).unwrap();
+            b.send(info(id)).unwrap();
+        }
+        let wire: Vec<u64> = (0..10).map(|_| server.recv().unwrap().request_id).collect();
+        let mut distinct = wire.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 10, "wire ids must be distinct: {wire:?}");
+        // Answered out of order, pipelined.
+        for &id in wire.iter().rev() {
+            answer(&server, id);
+        }
+        let got = |conn: &Connection| -> Vec<u64> {
+            (0..5).map(|_| conn.recv().unwrap().request_id).collect()
+        };
+        assert_eq!(got(&a), vec![5, 4, 3, 2, 1]);
+        assert_eq!(got(&b), vec![5, 4, 3, 2, 1]);
+        assert_eq!(a.try_recv().unwrap().map(|e| e.request_id), None);
+        assert_eq!(b.try_recv().unwrap().map(|e| e.request_id), None);
+    }
+
+    #[test]
+    fn a_reply_for_a_dropped_channel_is_discarded() {
+        let (a, server) = connection_pair();
+        let b = a.channel().unwrap();
+        b.send(info(1)).unwrap();
+        a.send(info(1)).unwrap();
+        let for_b = server.recv().unwrap().request_id;
+        let for_a = server.recv().unwrap().request_id;
+        drop(b);
+        answer(&server, for_b);
+        answer(&server, for_a);
+        assert_eq!(a.recv().unwrap().request_id, 1);
+        assert_eq!(a.try_recv().unwrap().map(|e| e.request_id), None);
+        // A channel opened later never gets the dropped one's replies.
+        let c = a.channel().unwrap();
+        answer(&server, for_b);
+        assert_eq!(c.try_recv().unwrap().map(|e| e.request_id), None);
+    }
+
+    #[test]
+    fn dropping_the_server_end_closes_every_channel_and_wakes_each_owner() {
+        let (a, server) = connection_pair();
+        let b = a.channel().unwrap();
+        let (wake_a, wake_b) = (Arc::new(Wakeup::default()), Arc::new(Wakeup::default()));
+        a.wake_on_reply(wake_a.clone());
+        b.wake_on_reply(wake_b.clone());
+        b.send(info(1)).unwrap();
+        answer(&server, server.recv().unwrap().request_id);
+        assert!(woken(&wake_b), "a reply wakes its own channel's owner");
+        drop(server);
+        assert!(
+            woken(&wake_a) && woken(&wake_b),
+            "a closed link wakes every owner"
+        );
+        assert_eq!(ids_until_closed(&a), Vec::<u64>::new());
+        assert_eq!(
+            ids_until_closed(&b),
+            vec![1],
+            "queued replies are read first"
+        );
+    }
+
+    #[test]
+    fn no_channel_opens_on_a_closed_link() {
+        let (a, server) = connection_pair();
+        drop(server);
+        assert_eq!(a.channel().err(), Some(ConnectionClosed));
+        let foreign = Connection::from_transport(Arc::new(NoLink));
+        assert_eq!(foreign.channel().err(), Some(ConnectionClosed));
+    }
+
+    #[test]
+    fn an_id_past_the_channel_id_space_is_refused_not_routed() {
+        let (a, server) = connection_pair();
+        let b = a.channel().unwrap();
+        a.send(info(CHANNEL_ID_MAX)).unwrap();
+        // Shifted onto the wire, this id would carry channel 1's number plus
+        // one: it would be answered into another channel's queue.
+        assert_eq!(b.send(info(CHANNEL_ID_MAX + 1)), Err(ConnectionClosed));
+        assert_eq!(
+            ids_until_closed(&b),
+            Vec::<u64>::new(),
+            "the channel closed"
+        );
+        a.send(info(2)).unwrap();
+        let first = server.recv().unwrap().request_id;
+        let second = server.recv().unwrap().request_id;
+        assert_eq!(first & CHANNEL_ID_MAX, CHANNEL_ID_MAX);
+        assert_eq!(second & CHANNEL_ID_MAX, 2, "the refused id never left");
+        answer(&server, first);
+        assert_eq!(a.recv().unwrap().request_id, CHANNEL_ID_MAX);
+    }
+
+    #[test]
+    fn a_channel_whose_reply_queue_fills_is_closed_alone() {
+        let (a, server) = connection_pair();
+        let b = a.channel().unwrap();
+        let echo = std::thread::spawn(move || {
+            while let Ok(req) = server.recv() {
+                if server
+                    .send(ReplyEnvelope {
+                        request_id: req.request_id,
+                        reply: Reply::NoSuchSegment,
+                    })
+                    .is_err()
+                {
+                    break;
+                }
+            }
+        });
+        let overflow = CHANNEL_REPLY_DEPTH as u64 + 1;
+        for id in 1..=overflow {
+            b.send(info(id)).unwrap();
+        }
+        // Answered after all of b's: by then b has overflowed.
+        a.send(info(7)).unwrap();
+        assert_eq!(a.recv().unwrap().request_id, 7, "a is not stalled by b");
+        let ids = ids_until_closed(&b);
+        assert_eq!(ids, (1..overflow).collect::<Vec<_>>());
+        drop((a, b));
+        echo.join().unwrap();
+    }
+
+    /// A transport with no link behind it.
+    struct NoLink;
+
+    impl Transport for NoLink {
+        fn send(&self, _: RequestEnvelope) -> Result<(), ConnectionClosed> {
+            Err(ConnectionClosed)
+        }
+        fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
+            Err(ConnectionClosed)
+        }
+        fn recv_timeout(
+            &self,
+            _: std::time::Duration,
+        ) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
+            Err(ConnectionClosed)
+        }
+        fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
+            Err(ConnectionClosed)
+        }
+        fn wake_on_reply(&self, _: Arc<Wakeup>) {}
     }
 }

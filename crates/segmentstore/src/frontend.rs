@@ -8,9 +8,12 @@
 //! observe which one it is on.
 //!
 //! Scale model: each accepted connection costs two socket-pump threads
-//! (`pravega_common::tcp`) plus the handler thread, and appends from *all*
-//! connections multiplex onto the store's container worker pools — the
-//! per-connection threads only shuttle frames. Backpressure is per
+//! (`pravega_common::tcp`), the handler thread (`tcpconn`) and its
+//! `conn-ack-pump`, plus a `conn-tail-read` thread once a read parks on it;
+//! the client side costs two more pumps. Appends from *all* connections
+//! multiplex onto the store's container worker pools — the per-connection
+//! threads only shuttle frames — and an event writer opens one connection
+//! per store, carrying all its segments on channels of it. Backpressure is per
 //! connection and structural: a connection whose handler lags stops reading
 //! its socket (bounded inbound queue), stalling only that client's window;
 //! a slow-reading client fills the bounded reply queue and stalls only its

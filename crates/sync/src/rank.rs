@@ -119,6 +119,11 @@ pub const METRICS_REGISTRY: LockRank = LockRank::new(900, "common.metrics.regist
 /// Text-slot instrument value; read by `snapshot()` while the registry lock
 /// is held, so it must rank above [`METRICS_REGISTRY`]. Writers take it alone.
 pub const METRICS_TEXT: LockRank = LockRank::new(910, "common.metrics.text");
+/// A wire link's reply routes (channel number → reply queue). Taken by a
+/// writer under its state lock to open or drop a channel, and by a
+/// transport's reply delivery; owners' wake-ups ([`WIRE_WAKEUP`]) are sent
+/// only after it is released, and nothing else is acquired under it.
+pub const WIRE_ROUTES: LockRank = LockRank::new(915, "common.wire.routes");
 /// Latch of a `pravega_common::wire::Wakeup`; a leaf — notified from any
 /// thread (a writer holding its state lock, a transport's receive side) and
 /// nothing is acquired while holding it.

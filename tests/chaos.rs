@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use pravega::client::{StringSerializer, WriterConfig};
 use pravega::common::id::ScopedStream;
+use pravega::common::metrics::Snapshot;
 use pravega::common::policy::{ScalingPolicy, StreamConfiguration};
 use pravega::common::retry::RetryClass;
 use pravega::core::{ClusterConfig, PravegaCluster, TransportKind};
@@ -85,6 +86,11 @@ fn read_all(
             }
             Err(e) => panic!("read failed after {} events: {e}", got.len()),
         }
+    }
+    // A duplicate delivered after the first `total` events would otherwise
+    // go unseen: the stream must hold nothing more.
+    if let Ok(Some(extra)) = reader.read_next(Duration::from_millis(200)) {
+        panic!("read {} past the {total} events written", extra.event);
     }
     got
 }
@@ -240,19 +246,38 @@ fn store_failover_under_lts_chaos_loses_nothing() {
 
 #[test]
 fn tcp_connection_drops_mid_append_preserve_exactly_once() {
-    // A seeded schedule severs every live TCP connection mid-append, over and
-    // over, while a writer pushes events. The writer must reconnect, replay
-    // the SetupAppend handshake, learn the server's last event number and
-    // resend only what was never acked — zero loss, zero duplication.
+    connection_drops_preserve_exactly_once("tcpdrop", 2);
+}
+
+/// The same schedule on a 16-segment stream. A writer puts all of a store's
+/// segments on one socket, so one severed socket drops many segments'
+/// in-flight blocks at once: every one of them must reconnect on a fresh
+/// socket and re-run its own handshake.
+#[test]
+fn tcp_connection_drops_on_shared_connections_preserve_exactly_once() {
+    let snap = connection_drops_preserve_exactly_once("tcpshared", 16);
+    let reconnects = snap.counter("client.writer.reconnects").unwrap_or(0);
+    assert!(
+        reconnects > 0,
+        "severed shared sockets must send segments through the reconnect path\n{snap}"
+    );
+}
+
+/// A seeded schedule severs every live TCP connection mid-append, over and
+/// over, while a writer pushes events to a `segments`-segment stream. The
+/// writer must reconnect, replay the SetupAppend handshake, learn the
+/// server's last event number and resend only what was never acked — zero
+/// loss, zero duplication. Returns the final metrics snapshot.
+fn connection_drops_preserve_exactly_once(name: &str, segments: u32) -> Snapshot {
     let seed = chaos_seed();
     let mut config = ClusterConfig::default();
     config.container.flush_interval = Duration::from_millis(5);
     config.transport = TransportKind::Tcp;
     let cluster = PravegaCluster::start(config).unwrap();
-    let s = stream("tcpdrop");
+    let s = stream(name);
     cluster.create_scope("chaos").unwrap();
     cluster
-        .create_stream(&s, StreamConfiguration::new(ScalingPolicy::fixed(2)))
+        .create_stream(&s, StreamConfiguration::new(ScalingPolicy::fixed(segments)))
         .unwrap();
 
     let rng = &mut StdRng::seed_from_u64(seed);
@@ -275,7 +300,7 @@ fn tcp_connection_drops_mid_append_preserve_exactly_once() {
         "the seeded schedule must have severed at least one connection"
     );
 
-    let mut got = read_all(&cluster, &s, "g-tcpdrop", total);
+    let mut got = read_all(&cluster, &s, &format!("g-{name}"), total);
     got.sort();
     got.dedup();
     assert_eq!(
@@ -293,6 +318,7 @@ fn tcp_connection_drops_mid_append_preserve_exactly_once() {
         .unwrap_or(0);
     assert!(killed as usize >= kills, "frontend must count every kill");
     cluster.shutdown();
+    snap
 }
 
 #[test]

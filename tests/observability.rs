@@ -11,7 +11,7 @@ use pravega::client::{BytesSerializer, StringSerializer, WriterConfig};
 use pravega::common::id::ScopedStream;
 use pravega::common::metrics::Snapshot;
 use pravega::common::policy::{ScalingPolicy, StreamConfiguration};
-use pravega::core::{ClusterConfig, LtsKind, PravegaCluster};
+use pravega::core::{ClusterConfig, LtsKind, PravegaCluster, TransportKind};
 use pravega::lts::ThrottleModel;
 
 fn stream(name: &str) -> ScopedStream {
@@ -205,6 +205,56 @@ fn stall_instruments_register_and_fire_under_forced_stalls() {
          duration\n{snap}"
     );
     cluster.shutdown();
+}
+
+/// Segment multiplexing on the client: a writer keeps one connection per
+/// store, not one per segment. Over 16 segments on the default 3-store
+/// cluster it dials at most 3, on either transport, and over TCP the stores
+/// accept no more than that.
+#[test]
+fn a_writer_dials_one_connection_per_store() {
+    for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+        let config = ClusterConfig {
+            transport,
+            ..ClusterConfig::default()
+        };
+        let cluster = PravegaCluster::start(config).unwrap();
+        let s = stream("conns");
+        cluster.create_scope("obs").unwrap();
+        cluster
+            .create_stream(&s, StreamConfiguration::new(ScalingPolicy::fixed(16)))
+            .unwrap();
+        let accepted = |snap: &Snapshot| {
+            snap.counter("segmentstore.frontend.connections_total")
+                .unwrap_or(0)
+        };
+        let before = accepted(&cluster.metrics().snapshot());
+
+        let mut writer = cluster.create_writer(s, StringSerializer, WriterConfig::default());
+        for i in 0..512 {
+            writer.write_event(&format!("k{i}"), &format!("e{i}"));
+        }
+        writer.flush().unwrap();
+
+        let snap = cluster.metrics().snapshot();
+        let opened = snap
+            .counter("client.writer.connections_opened")
+            .unwrap_or(0);
+        assert!(
+            (1..=3).contains(&opened),
+            "{transport:?}: a writer over 16 segments on 3 stores dialled {opened} \
+             connections\n{snap}"
+        );
+        if transport == TransportKind::Tcp {
+            let accepted = accepted(&snap) - before;
+            assert!(
+                (1..=3).contains(&accepted),
+                "the stores accepted {accepted} connections from one writer\n{snap}"
+            );
+        }
+        drop(writer);
+        cluster.shutdown();
+    }
 }
 
 /// Under saturating load frames should seal because they are full, not
