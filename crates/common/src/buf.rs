@@ -4,6 +4,12 @@
 //! need a compact, stable binary layout. These helpers never panic on
 //! truncated input: all getters return [`DecodeError`].
 
+#![warn(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -71,6 +77,11 @@ pub fn get_u128(buf: &mut impl Buf, ctx: &'static str) -> Result<u128, DecodeErr
 }
 
 /// Writes a length-prefixed byte string (u32 length).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "every byte string written here travels in, or was decoded from, a protocol \
+              frame, and a receiver rejects any frame over MAX_FRAME_BYTES (16 MiB)"
+)]
 pub fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
     buf.put_u32(data.len() as u32);
     buf.put_slice(data);

@@ -3,7 +3,7 @@
 //!
 //! Every index below is a byte into a 256-entry table or a constant: nothing
 //! here is derived from a length or offset in the input, which is why this
-//! file sits outside the codecs' panic-surface lint scope.
+//! file does not switch on the codecs' clippy restriction lints.
 
 const POLY: u32 = 0x82F6_3B78; // reflected Castagnoli
 

@@ -26,6 +26,12 @@
 //! read) and pull decoded envelopes out. Malformed input never panics and
 //! never hangs — every failure mode is a typed [`CodecError`].
 
+#![warn(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::buf::{
@@ -247,6 +253,11 @@ fn checked_len(n: u32, ctx: &'static str) -> Result<usize, CodecError> {
 
 // ── encoding ────────────────────────────────────────────────────────────────
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a collection count is bounded by the frame it is encoded into, and a receiver \
+              rejects any frame over MAX_FRAME_BYTES (16 MiB)"
+)]
 fn encode_request_payload(request: &Request, buf: &mut BytesMut) -> u8 {
     match request {
         Request::CreateSegment { segment, is_table } => {
@@ -349,6 +360,11 @@ fn encode_request_payload(request: &Request, buf: &mut BytesMut) -> u8 {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a collection count is bounded by the frame it is encoded into, and a receiver \
+              rejects any frame over MAX_FRAME_BYTES (16 MiB)"
+)]
 fn encode_reply_payload(reply: &Reply, buf: &mut BytesMut) -> u8 {
     match reply {
         Reply::SegmentCreated => tag::SEGMENT_CREATED,
@@ -472,6 +488,11 @@ fn start_frame(out: &mut BytesMut, request_id: u64) -> usize {
 
 /// Appends the checksum and backfills the length and tag slots written by
 /// [`start_frame`].
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a receiver rejects any frame over MAX_FRAME_BYTES (16 MiB); a longer one \
+              wraps its length word and fails there on the length bound or the CRC"
+)]
 fn end_frame(out: &mut BytesMut, frame_start: usize, tag: u8) {
     let body_start = frame_start.saturating_add(4);
     if let Some(slot) = out.get_mut(body_start.saturating_add(1)) {

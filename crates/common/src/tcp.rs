@@ -37,6 +37,12 @@
 //! connection down: both threads exit, the socket is shut down, and every
 //! queued operation on every channel surfaces [`ConnectionClosed`].
 
+#![warn(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -335,7 +341,7 @@ mod tests {
     /// True if `wakeup` has a latched wake-up (its wait returns at once).
     fn woken(wakeup: &Wakeup) -> bool {
         let from = crate::clock::monotonic_now();
-        wakeup.wait_until(Some(from + std::time::Duration::from_secs(2)));
+        wakeup.wait_until(from.checked_add(std::time::Duration::from_secs(2)));
         from.elapsed() < std::time::Duration::from_secs(1)
     }
 

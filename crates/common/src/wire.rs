@@ -25,6 +25,12 @@
 //! the channel back the id it sent. The server never looks at them: it echoes
 //! ids, as it always has.
 
+#![warn(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -689,6 +695,10 @@ pub(crate) fn link(requests: Sender<RequestEnvelope>) -> (Connection, Arc<Router
 
 impl Router {
     /// Opens a channel whose requests go into `requests`, the link's queue.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`routes.next` is checked against MAX_CHANNELS before it is incremented"
+    )]
     fn open_channel(
         self: &Arc<Self>,
         requests: &Sender<RequestEnvelope>,
@@ -1033,7 +1043,7 @@ mod tests {
     /// True if `wakeup` has a latched wake-up (its wait returns at once).
     fn woken(wakeup: &Wakeup) -> bool {
         let from = clock::monotonic_now();
-        wakeup.wait_until(Some(from + std::time::Duration::from_secs(2)));
+        wakeup.wait_until(from.checked_add(std::time::Duration::from_secs(2)));
         from.elapsed() < std::time::Duration::from_secs(1)
     }
 

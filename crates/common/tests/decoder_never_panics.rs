@@ -1,7 +1,8 @@
 //! Property: [`FrameDecoder`] never panics, whatever bytes it is fed.
 //!
-//! This is the testable face of the `panic-surface` lint (see
-//! `crates/xtask/src/panics.rs`): the decode path may only fail through
+//! This is the testable face of the clippy restriction lints the codec
+//! files switch on (`indexing_slicing`, `arithmetic_side_effects`,
+//! `cast_possible_truncation`): the decode path may only fail through
 //! typed [`CodecError`]s. The workspace test profile runs with
 //! `overflow-checks = true`, so any unchecked length/offset arithmetic in
 //! the decoder turns into a panic these cases would catch.

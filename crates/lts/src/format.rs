@@ -19,12 +19,18 @@
 //! [u32 crc32c(payload)]
 //! ```
 //!
-//! Every decode path here uses fully checked slicing and arithmetic (this
-//! file is in the panic-surface lint scope): corrupt or truncated bytes
-//! produce a typed [`CorruptBlock`], never a panic. Callers cross-check the
-//! decoded trailer CRC against the CRC recorded in segment metadata, so a
-//! self-consistent-but-wrong block (corrupted payload *and* trailer) is
-//! still detected.
+//! Every decode path here uses fully checked slicing and arithmetic (the
+//! clippy restriction lints below hold the whole file to it): corrupt or
+//! truncated bytes produce a typed [`CorruptBlock`], never a panic. Callers
+//! cross-check the decoded trailer CRC against the CRC recorded in segment
+//! metadata, so a self-consistent-but-wrong block (corrupted payload *and*
+//! trailer) is still detected.
+
+#![warn(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -53,6 +59,13 @@ pub struct CorruptBlock {
 }
 
 /// Encodes one data block around `payload`.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "a payload is at most one chunk (`max_chunk_bytes`, 4 MiB by default), far below \
+              the 2 GiB the length word leaves below FOOTER_FLAG; a slice plus 8 cannot \
+              overflow usize"
+)]
 pub fn encode_block(payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(payload.len() + BLOCK_OVERHEAD as usize);
     buf.put_u32(payload.len() as u32);
@@ -69,6 +82,10 @@ pub fn chunk_digest(blocks: &[BlockInfo]) -> u32 {
     crc32c(&index_bytes(blocks))
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "8 bytes per block is the size of `blocks` itself, which Rust caps at isize::MAX"
+)]
 fn index_bytes(blocks: &[BlockInfo]) -> BytesMut {
     let mut idx = BytesMut::with_capacity(blocks.len() * 8);
     for &(len, crc) in blocks {
@@ -79,6 +96,12 @@ fn index_bytes(blocks: &[BlockInfo]) -> BytesMut {
 }
 
 /// Encodes the footer block for a finalized chunk.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "a chunk holds at most `max_chunk_bytes` blocks of one byte or more, so its \
+              16 + 8-per-block footer stays far below the 2 GiB below FOOTER_FLAG"
+)]
 pub fn encode_footer(blocks: &[BlockInfo]) -> Bytes {
     let mut payload = BytesMut::with_capacity(12 + blocks.len() * 8);
     payload.put_u32(FOOTER_MAGIC);
@@ -94,6 +117,11 @@ pub fn encode_footer(blocks: &[BlockInfo]) -> Bytes {
 
 /// Physical bytes occupied by the given data blocks (framing included,
 /// footer excluded).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "each term is a u32 length plus 8, summed over one chunk's blocks: far below \
+              u64::MAX"
+)]
 pub fn physical_data_len(blocks: &[BlockInfo]) -> u64 {
     blocks
         .iter()
@@ -102,6 +130,11 @@ pub fn physical_data_len(blocks: &[BlockInfo]) -> u64 {
 }
 
 /// Physical bytes the footer for `block_count` blocks occupies.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "`block_count` is the length of one chunk's block list, at most \
+              `max_chunk_bytes`"
+)]
 pub fn footer_physical_len(block_count: usize) -> u64 {
     BLOCK_OVERHEAD + 12 + 8 * block_count as u64
 }
@@ -198,7 +231,7 @@ mod tests {
     use super::*;
 
     fn info(payload: &[u8]) -> BlockInfo {
-        (payload.len() as u32, crc32c(payload))
+        (u32::try_from(payload.len()).unwrap(), crc32c(payload))
     }
 
     #[test]
@@ -287,10 +320,10 @@ mod tests {
     #[test]
     fn corrupt_error_reports_the_block_offset() {
         let mut chunk = encode_block(b"aaaa").to_vec();
-        let second_at = chunk.len() as u64;
+        let second_at = chunk.len();
         chunk.extend_from_slice(&encode_block(b"bbbb"));
-        chunk[second_at as usize + 5] ^= 0x01;
-        let err = decode_block(&chunk, second_at, info(b"bbbb")).unwrap_err();
-        assert_eq!(err.offset, second_at);
+        chunk[second_at..][5] ^= 0x01;
+        let err = decode_block(&chunk, second_at as u64, info(b"bbbb")).unwrap_err();
+        assert_eq!(err.offset, second_at as u64);
     }
 }

@@ -12,6 +12,12 @@
 //! already maximized (don't wait), underutilized frames justify waiting a
 //! little for more operations to batch together.
 
+#![warn(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -35,7 +41,7 @@ fn fresh_frame_buf() -> BytesMut {
 /// Backfills a big-endian u32 at `at`; silently skips an out-of-range slot
 /// (cannot happen for in-bounds header offsets, and must not panic).
 fn put_u32_at(buf: &mut BytesMut, at: usize, v: u32) {
-    if let Some(slot) = buf.get_mut(at..at + 4) {
+    if let Some(slot) = buf.get_mut(at..at.saturating_add(4)) {
         slot.copy_from_slice(&v.to_be_bytes());
     }
 }
@@ -85,6 +91,13 @@ impl DataFrameBuilder {
     }
 
     /// Appends `(seq, op)` to the frame, encoding the operation in place.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "an operation's data arrived in a protocol frame of at most MAX_FRAME_BYTES \
+                  (16 MiB), and a frame is sealed once it reaches `max_frame_bytes`, so its \
+                  length word and op count stay far below u32::MAX"
+    )]
     pub fn push_op(&mut self, seq: u64, op: &Operation) {
         self.buf.put_u64(seq);
         let len_at = self.buf.len();
@@ -128,7 +141,9 @@ impl DataFrameBuilder {
     /// [`DecodeError`] if the internal buffer is shorter than the reserved
     /// header — builder state corruption. CRC-ing a guessed payload here
     /// would produce a frame that decodes cleanly to the wrong bytes, so a
-    /// short buffer must surface as an error, never be papered over.
+    /// short buffer must surface as an error, never be papered over. Also
+    /// [`DecodeError`] if the payload is 4 GiB or more, which its u32
+    /// length word cannot hold.
     pub fn seal_frame(&mut self) -> Result<Option<Bytes>, DecodeError> {
         if self.is_empty() {
             return Ok(None);
@@ -148,7 +163,10 @@ impl DataFrameBuilder {
         put_u32_at(&mut frame, 0, FRAME_MAGIC);
         put_u32_at(&mut frame, 4, ops);
         put_u32_at(&mut frame, 8, crc);
-        put_u32_at(&mut frame, 12, payload_len as u32);
+        let Ok(payload_len) = u32::try_from(payload_len) else {
+            return Err(DecodeError::new("frame payload over 4 GiB"));
+        };
+        put_u32_at(&mut frame, 12, payload_len);
         Ok(Some(frame.freeze()))
     }
 }
@@ -190,7 +208,7 @@ mod tests {
     fn sample_op(i: u64) -> Operation {
         Operation::Append {
             segment: format!("s/t/{i}"),
-            offset: i * 100,
+            offset: i.saturating_mul(100),
             data: Bytes::from(format!("payload-{i}")),
             writer_id: WriterId(i as u128),
             last_event_number: i as i64,

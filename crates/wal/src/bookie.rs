@@ -5,6 +5,12 @@
 //! fenced with token `t`, adds presenting a token `< t` are rejected — the
 //! mechanism behind the segment container's exclusive WAL access (§4.4).
 
+#![warn(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation
+)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -182,7 +188,10 @@ impl MemBookie {
             return false;
         };
         let mut bytes = stored.to_vec();
-        let Some(byte) = bytes.get_mut(offset as usize) else {
+        let Some(byte) = usize::try_from(offset)
+            .ok()
+            .and_then(|offset| bytes.get_mut(offset))
+        else {
             return false;
         };
         *byte ^= mask;
@@ -202,11 +211,14 @@ impl MemBookie {
         else {
             return false;
         };
-        let Some(keep) = (stored.len() as u64).checked_sub(drop) else {
+        let Some(keep) = usize::try_from(drop)
+            .ok()
+            .and_then(|drop| stored.len().checked_sub(drop))
+        else {
             return false;
         };
         let mut bytes = stored.to_vec();
-        bytes.truncate(keep as usize);
+        bytes.truncate(keep);
         *stored = Bytes::from(bytes);
         true
     }
@@ -325,6 +337,13 @@ impl Bookie for MemBookie {
 /// replicas hold identical enveloped bytes and any replica's copy can be
 /// verified — and compared against its peers — without consulting the
 /// others.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "an entry is one durable-log data frame, sealed once it reaches its \
+              `max_frame_bytes` (1 MiB by default), far below 4 GiB; a slice plus 8 cannot \
+              overflow usize"
+)]
 pub fn encode_entry_envelope(data: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(data.len() + 8);
     buf.put_u32(data.len() as u32);
@@ -350,6 +369,12 @@ pub fn decode_entry_envelope(stored: &Bytes) -> Option<Bytes> {
     (crc32c(&payload) == crc).then_some(payload)
 }
 
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "`data` is one enveloped entry: a durable-log data frame plus 8 bytes, far \
+              below 4 GiB; a slice plus 28 cannot overflow usize"
+)]
 fn encode_journal_add(ledger: LedgerId, entry: u64, data: &Bytes) -> Bytes {
     let mut buf = BytesMut::with_capacity(data.len() + 28);
     buf.put_u8(b'A');

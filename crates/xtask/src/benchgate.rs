@@ -237,158 +237,6 @@ pub fn run(baseline_text: &str, fresh_text: &str, tolerance: f64) -> i32 {
     }
 }
 
-/// The scalar summary a soak run writes into `BENCH_soak.json` (the
-/// `summary` object; the per-second `timeline` array is checked for
-/// presence/size but not gated row-by-row).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoakSummary {
-    pub events: f64,
-    pub p50_ms: f64,
-    pub p999_ms: f64,
-    pub measured_seconds: f64,
-    pub p90_second_p999_ms: f64,
-    pub spike_seconds: f64,
-    pub unattributed_spike_seconds: f64,
-    pub timeline_rows: usize,
-}
-
-/// Extracts the soak summary from a `BENCH_soak.json`. Returns an error
-/// naming the first missing/unparseable field — a silently-missing field
-/// must fail the gate, never pass it.
-pub fn parse_soak(text: &str) -> Result<SoakSummary, String> {
-    let bytes = text.as_bytes();
-    // Harvest every object's scalars; the summary object is the one that
-    // carries `p90_second_p999_ms`.
-    let mut summary: Option<BTreeMap<String, String>> = None;
-    let mut timeline_rows = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] == b'{' {
-            let (fields, end) = parse_object_scalars(text, i);
-            if fields.contains_key("p90_second_p999_ms") {
-                summary = Some(fields);
-                i = end;
-                continue;
-            }
-            if fields.contains_key("p999_ms") && fields.contains_key("sec") {
-                timeline_rows += 1;
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    let summary = summary.ok_or("no summary object (missing `p90_second_p999_ms` field)")?;
-    let num = |name: &str| -> Result<f64, String> {
-        summary
-            .get(name)
-            .ok_or(format!("summary is missing `{name}`"))?
-            .parse::<f64>()
-            .map_err(|_| format!("summary field `{name}` is not a number"))
-    };
-    Ok(SoakSummary {
-        events: num("events")?,
-        p50_ms: num("p50_ms")?,
-        p999_ms: num("p999_ms")?,
-        measured_seconds: num("measured_seconds")?,
-        p90_second_p999_ms: num("p90_second_p999_ms")?,
-        spike_seconds: num("spike_seconds")?,
-        unattributed_spike_seconds: num("unattributed_spike_seconds")?,
-        timeline_rows,
-    })
-}
-
-/// Overall-p50 ceiling for a soak run. Latency is measured from each event's
-/// *scheduled* slot, so a median in the hundreds of milliseconds means the
-/// writers spent the run queued behind the store — the collapse regime, which
-/// flattens the tail into the median instead of spiking it.
-pub const MAX_ON_SCHEDULE_P50_MS: f64 = 250.0;
-
-/// Bound on the 90th-percentile second's p999, in milliseconds. Healthy
-/// `soak --smoke` runs, paced and under `--fault-seed 7`, read
-/// 1.5–26 ms (EXPERIMENTS.md lists every run); the on/off throttle
-/// oscillation this gate exists to catch parks that second at the
-/// threshold drain time, 333 ms under the burst-control profile.
-pub const MAX_P90_SECOND_P999_MS: f64 = 50.0;
-
-/// Runs the soak gate on a fresh report. Returns the process exit code
-/// (0 pass, 1 fail).
-///
-/// The gated tail statistic is `p90_second_p999_ms` — the 90th-percentile
-/// *second's* p999. The single worst second (and the overall p999 it drags
-/// along) is deliberately not bounded: a soak under a bursty workload
-/// legitimately catches an occasional flush × surge collision, and a gate
-/// keyed to the worst second would flake on it. What separates a healthy
-/// run from an oscillating one is spike *depth* across the run: host
-/// scheduling noise produces shallow (tens of ms) wobbles, while throttle
-/// oscillation parks the p90 second at hundreds of ms.
-///
-/// Bounds:
-/// - the timeline must exist, be non-empty, and carry events;
-/// - every latency spike must be attributed to a stall class;
-/// - `p90_second_p999_ms` must not exceed [`MAX_P90_SECOND_P999_MS`];
-/// - overall p50 must stay under [`MAX_ON_SCHEDULE_P50_MS`]: a store whose
-///   writers fall hopelessly behind schedule shows a *flat* tail (every
-///   latency balloons together), so a tail bound alone would wave through
-///   exactly the collapse the soak exists to catch.
-pub fn run_soak(fresh_text: &str) -> i32 {
-    let fresh = match parse_soak(fresh_text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("soak-gate: fresh report unusable: {e}");
-            return 1;
-        }
-    };
-    println!(
-        "soak-gate: events={} p50={}ms p999={}ms p90_second_p999={}ms spikes={}/{} \
-         unattributed={} timeline_rows={}",
-        fresh.events,
-        fresh.p50_ms,
-        fresh.p999_ms,
-        fresh.p90_second_p999_ms,
-        fresh.spike_seconds,
-        fresh.measured_seconds,
-        fresh.unattributed_spike_seconds,
-        fresh.timeline_rows,
-    );
-    let mut failures = Vec::new();
-    if fresh.events <= 0.0 {
-        failures.push("run recorded no events".to_string());
-    }
-    if fresh.timeline_rows == 0 {
-        failures.push("report carries no per-second timeline".to_string());
-    }
-    if fresh.unattributed_spike_seconds > 0.0 {
-        failures.push(format!(
-            "{} spike second(s) not attributed to any stall class",
-            fresh.unattributed_spike_seconds
-        ));
-    }
-    if fresh.p90_second_p999_ms > MAX_P90_SECOND_P999_MS {
-        failures.push(format!(
-            "p90 second's p999 {}ms exceeds the bound {MAX_P90_SECOND_P999_MS}ms",
-            fresh.p90_second_p999_ms
-        ));
-    }
-    if fresh.p50_ms > MAX_ON_SCHEDULE_P50_MS {
-        failures.push(format!(
-            "overall p50 {}ms exceeds the on-schedule ceiling {MAX_ON_SCHEDULE_P50_MS}ms \
-             (writers collapsed behind the store)",
-            fresh.p50_ms
-        ));
-    }
-    if failures.is_empty() {
-        println!("soak-gate: pass");
-        0
-    } else {
-        for f in &failures {
-            println!("  FAIL  {f}");
-        }
-        println!("soak-gate: FAILED");
-        1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,105 +305,5 @@ mod tests {
         let (lines, errors) = compare(&base, &fresh, 0.0);
         assert!(errors.is_empty());
         assert!(lines.iter().all(|l| !l.regressed));
-    }
-
-    const SOAK_SAMPLE: &str = r#"{
-      "benchmark": "soak",
-      "summary": {
-        "profile": "paced",
-        "seconds": 35,
-        "writers": 4,
-        "events": 21000,
-        "errors": 0,
-        "p50_ms": 1.500,
-        "p99_ms": 6.000,
-        "p999_ms": 12.000,
-        "dispersion": 8.00,
-        "measured_seconds": 28,
-        "p90_second_p999_ms": 9.000,
-        "typical_dispersion": 6.00,
-        "worst_second_p999_ms": 20.000,
-        "worst_dispersion": 13.33,
-        "spike_seconds": 2,
-        "unattributed_spike_seconds": 0
-      },
-      "timeline": [
-        {"sec": 0, "count": 600, "p50_ms": 1.5, "p99_ms": 5.0, "p999_ms": 8.0, "stall_ms": {"throttle": 0.0, "flush": 2.5, "truncation": 0.1, "cache_evict": 0.0, "wal_rollover": 0.0}},
-        {"sec": 1, "count": 600, "p50_ms": 1.4, "p99_ms": 6.0, "p999_ms": 20.0, "stall_ms": {"throttle": 18.0, "flush": 1.0, "truncation": 0.0, "cache_evict": 0.0, "wal_rollover": 0.0}}
-      ]
-    }"#;
-
-    #[test]
-    fn soak_summary_parses() {
-        let s = parse_soak(SOAK_SAMPLE).unwrap();
-        assert_eq!(s.events, 21000.0);
-        assert_eq!(s.measured_seconds, 28.0);
-        assert_eq!(s.p90_second_p999_ms, 9.0);
-        assert_eq!(s.unattributed_spike_seconds, 0.0);
-        assert_eq!(s.timeline_rows, 2);
-    }
-
-    #[test]
-    fn soak_within_bounds_passes() {
-        assert_eq!(run_soak(SOAK_SAMPLE), 0);
-    }
-
-    #[test]
-    fn soak_tail_bound_is_absolute() {
-        // The bound is in milliseconds, whatever the median: a faster p50
-        // does not turn the same tail into a failure.
-        let fast = SOAK_SAMPLE.replace("\"p50_ms\": 1.500,", "\"p50_ms\": 0.250,");
-        assert_eq!(run_soak(&fast), 0);
-        let with_p90 = |ms: f64| {
-            let field = format!("\"p90_second_p999_ms\": {ms},");
-            SOAK_SAMPLE.replace("\"p90_second_p999_ms\": 9.000,", &field)
-        };
-        assert_eq!(run_soak(&with_p90(MAX_P90_SECOND_P999_MS)), 0);
-        assert_eq!(run_soak(&with_p90(MAX_P90_SECOND_P999_MS + 1.0)), 1);
-    }
-
-    #[test]
-    fn soak_single_bad_second_does_not_fail() {
-        // One collision second blows up the worst-second and overall-p999
-        // stats, but the p90 second stays healthy — the gate must absorb
-        // it, not flake.
-        let fresh = SOAK_SAMPLE
-            .replace("\"p999_ms\": 12.000,", "\"p999_ms\": 265.000,")
-            .replace(
-                "\"worst_second_p999_ms\": 20.000,",
-                "\"worst_second_p999_ms\": 274.000,",
-            );
-        assert_eq!(run_soak(&fresh), 0);
-    }
-
-    #[test]
-    fn soak_collapsed_schedule_fails_despite_a_flat_tail() {
-        // The collapse regime: every latency balloons together, so the tail
-        // sits on the median — only the p50 ceiling catches it.
-        let fresh = SOAK_SAMPLE
-            .replace("\"p50_ms\": 1.500,", "\"p50_ms\": 2900.000,")
-            .replace("\"p999_ms\": 12.000,", "\"p999_ms\": 5800.000,");
-        assert_eq!(run_soak(&fresh), 1);
-    }
-
-    #[test]
-    fn soak_unattributed_spike_fails() {
-        let fresh = SOAK_SAMPLE.replace(
-            "\"unattributed_spike_seconds\": 0",
-            "\"unattributed_spike_seconds\": 1",
-        );
-        assert_eq!(run_soak(&fresh), 1);
-    }
-
-    #[test]
-    fn soak_missing_summary_or_timeline_fails() {
-        assert_eq!(run_soak("{}"), 1);
-        assert_eq!(run_soak(""), 1);
-        let fresh = SOAK_SAMPLE.replace("\"events\": 21000,", "");
-        assert_eq!(run_soak(&fresh), 1);
-        // Summary intact but the timeline array emptied: structural failure.
-        let (head, _) = SOAK_SAMPLE.split_once("\"timeline\"").unwrap();
-        let no_timeline = format!("{head}\"timeline\": []\n    }}");
-        assert_eq!(run_soak(&no_timeline), 1);
     }
 }

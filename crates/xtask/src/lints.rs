@@ -9,19 +9,22 @@
 //! `clippy.toml` with type resolution; `MetricsRegistry` checks the last when
 //! a name is registered.
 //!
-//! Two passes over the token stream (see `lexer`, `guards` and
-//! `lockgraph`) enforce guard discipline:
+//! Neither is lock order: the runtime rank checker in `pravega-sync` panics
+//! on any inversion an exercised path takes, and the rank-table test there
+//! pins `rank.rs` to DESIGN.md §7. Nor are the codecs' panic paths: clippy's
+//! `indexing_slicing`, `arithmetic_side_effects` and
+//! `cast_possible_truncation` are switched on in each codec file.
+//!
+//! A guard-liveness pass over the token stream (see `lexer` and `guards`)
+//! enforces guard discipline:
 //!
 //! * `guard-across-blocking` — no `pravega_sync` guard may be live across a
 //!   blocking operation: sleeps, channel `recv`, `thread::join`, `Condvar`
 //!   waits on *other* locks, retry executions, or calls into functions that
 //!   transitively perform file I/O. The append path must never stall behind
 //!   a held lock.
-//! * `lock-order` — the static acquired-while-held graph (direct edges plus
-//!   one level of call propagation) must be acyclic and must agree with the
-//!   rank hierarchy in `crates/sync/src/rank.rs`.
 //!
-//! Four more rules ride on the same tokens:
+//! Three more rules ride on the same tokens:
 //!
 //! * `relaxed-atomics` (see `atomics`) — `Ordering::Relaxed` only on
 //!   recognizable counters; flags and latches publish state.
@@ -30,9 +33,6 @@
 //! * `hot-path-alloc` (see `hotpath`) — allocations and copies inside the
 //!   append/read hot paths are counted per function and gated by the
 //!   ratcheted baseline in `crates/xtask/hotpath-baseline.txt`.
-//! * `panic-surface` (see `panics`) — the wire-facing codecs must not index
-//!   slices, do unchecked length arithmetic, or narrow with `as` in decode
-//!   functions; malformed bytes must surface as typed errors.
 //!
 //! Finally `allowlist-stale` keeps `lint-allowlist.txt` honest: an entry
 //! that no longer matches any would-be violation is itself an error.
@@ -40,7 +40,7 @@
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions), `tests/`,
 //! `benches/`, `examples/` and `vendor/` are exempt from every rule.
 
-use crate::{guards, lockgraph};
+use crate::guards;
 use std::cell::RefCell;
 use std::fmt;
 use std::fs;
@@ -146,8 +146,6 @@ impl Allowlist {
 pub struct ScanReport {
     pub violations: Vec<Violation>,
     pub files: usize,
-    /// The rendered static lock-order graph, one edge per line.
-    pub graph: Vec<String>,
     /// The hot-path dump: one `file::fn allocs=N` line per hot function.
     pub hot: Vec<String>,
     /// Per-function hot-path allocation counts (the baseline content model).
@@ -166,13 +164,7 @@ pub fn scan_tree(
 ) -> std::io::Result<ScanReport> {
     let texts = read_tree(root, fixture_mode)?;
     let mut violations = Vec::new();
-    for (rel, text) in &texts {
-        if crate::panics::applies(rel, fixture_mode) {
-            crate::panics::scan(rel, text, allow, &mut violations);
-        }
-    }
-
-    let (graph, all_fns) = guard_pass(root, &texts, fixture_mode, allow, &mut violations);
+    let all_fns = guard_pass(&texts, fixture_mode, allow, &mut violations);
 
     let line_text = |rel: &Path, line: u32| -> String {
         texts
@@ -265,7 +257,6 @@ pub fn scan_tree(
     Ok(ScanReport {
         violations,
         files: texts.len(),
-        graph,
         hot,
         hotpath_counts,
     })
@@ -285,15 +276,14 @@ fn read_tree(root: &Path, fixture_mode: bool) -> std::io::Result<Vec<(PathBuf, S
         .collect()
 }
 
-/// The token-level passes: guard liveness, blocking propagation and the
-/// whole-program lock-order graph. Returns the rendered graph.
+/// The token-level passes: guard liveness and blocking propagation. Returns
+/// every function summary (the hot-path audit walks the same call graph).
 fn guard_pass(
-    root: &Path,
     texts: &[(PathBuf, String)],
     fixture_mode: bool,
     allow: &Allowlist,
     out: &mut Vec<Violation>,
-) -> (Vec<String>, Vec<guards::FnSummary>) {
+) -> Vec<guards::FnSummary> {
     let applicable: Vec<&(PathBuf, String)> = texts
         .iter()
         .filter(|(rel, _)| guards::guard_analysis_applies(rel, fixture_mode))
@@ -384,34 +374,7 @@ fn guard_pass(
         }
     }
 
-    // lock-order: assemble the graph, drop allowlisted edges, then check.
-    let table = load_rank_table(root);
-    let edges: Vec<lockgraph::GraphEdge> = lockgraph::build_edges(&all_fns)
-        .into_iter()
-        .filter(|e| !allow.permits(&e.file, &line_text(&e.file, e.line)))
-        .collect();
-    for p in lockgraph::check(&edges, &table) {
-        out.push(Violation {
-            path: p.file.clone(),
-            line: p.line as usize,
-            col: p.col as usize,
-            rule: "lock-order",
-            message: format!("{}: {}", p.kind, p.message),
-            snippet: line_text(&p.file, p.line),
-        });
-    }
-    (lockgraph::render(&edges, &table), all_fns)
-}
-
-/// Loads the rank table from the scanned tree, falling back to the
-/// workspace's own `rank.rs` so fixture scans still resolve real ranks.
-fn load_rank_table(root: &Path) -> lockgraph::RankTable {
-    let in_tree = root.join("crates/sync/src/rank.rs");
-    let fallback = Path::new(env!("CARGO_MANIFEST_DIR")).join("../sync/src/rank.rs");
-    fs::read_to_string(&in_tree)
-        .or_else(|_| fs::read_to_string(&fallback))
-        .map(|src| lockgraph::RankTable::parse(&src))
-        .unwrap_or_default()
+    all_fns
 }
 
 fn collect_rs_files(dir: &Path, fixture_mode: bool, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -452,9 +415,7 @@ mod tests {
         // Each fixture file must trip the rule it is named for.
         for (file, rule) in [
             ("guard_across_blocking.rs", "guard-across-blocking"),
-            ("lock_graph_cycle.rs", "lock-order"),
             ("hot_path_alloc.rs", "hot-path-alloc"),
-            ("panic_surface.rs", "panic-surface"),
             ("channel_discipline.rs", "channel-discipline"),
             ("relaxed_atomics.rs", "relaxed-atomics"),
         ] {
@@ -470,17 +431,6 @@ mod tests {
                     .map(|v| v.to_string())
                     .collect::<Vec<_>>()
                     .join("\n")
-            );
-        }
-        // The cycle fixture must report both lock-order flavours.
-        for kind in ["cycle:", "rank-contradiction:"] {
-            assert!(
-                report
-                    .violations
-                    .iter()
-                    .any(|v| v.path.to_string_lossy() == "lock_graph_cycle.rs"
-                        && v.message.starts_with(kind)),
-                "lock_graph_cycle.rs missing a `{kind}` finding"
             );
         }
         // Both-direction checks for the new rules: the compliant
@@ -505,9 +455,8 @@ mod tests {
         assert!(relaxed[0].snippet.contains("running.store"));
     }
 
-    /// Pins the DESIGN.md §10 channel-capacity table to the generated rows,
-    /// like the lock-order graph block: the doc cannot drift from the
-    /// code's actual queue inventory.
+    /// Pins the DESIGN.md §10 channel-capacity table to the generated rows:
+    /// the doc cannot drift from the code's actual queue inventory.
     #[test]
     fn design_doc_channel_table_is_current() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -572,37 +521,6 @@ mod tests {
         // Reported against the allowlist file at the entry's own line.
         assert_eq!(stale[0].line, 2);
         assert!(stale[0].message.contains("crates/nowhere/src/lib.rs"));
-    }
-
-    /// DESIGN.md §10 embeds the generated lock-order graph; it must track
-    /// the analyzer exactly.
-    #[test]
-    fn design_doc_graph_is_current() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(Path::parent)
-            .unwrap();
-        let allow = Allowlist::load(&root.join("crates/xtask/lint-allowlist.txt")).unwrap();
-        let report = scan_tree(root, false, &allow).unwrap();
-        let design = fs::read_to_string(root.join("DESIGN.md")).unwrap();
-
-        let begin = design
-            .find("<!-- lock-order-graph:begin -->")
-            .expect("DESIGN.md is missing the lock-order-graph:begin marker");
-        let end = design
-            .find("<!-- lock-order-graph:end -->")
-            .expect("DESIGN.md is missing the lock-order-graph:end marker");
-        let documented: Vec<&str> = design[begin..end]
-            .lines()
-            .filter(|l| l.contains(" -> "))
-            .map(str::trim)
-            .collect();
-        let generated: Vec<&str> = report.graph.iter().map(String::as_str).collect();
-        assert_eq!(
-            documented, generated,
-            "DESIGN.md §10 lock-order graph is stale; replace the block with \
-             the output of `cargo run -p xtask -- lint --graph`"
-        );
     }
 
     #[test]

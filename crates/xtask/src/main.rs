@@ -1,11 +1,13 @@
 //! Repo automation tasks (`cargo run -p xtask -- <task>`).
 //!
 //! The first task is `lint`: a token-level static-analysis pass (`lexer` +
-//! `guards` + `lockgraph` and the rules beside them) that enforces the
+//! `guards` and the rules beside them) that enforces the parts of the
 //! concurrency discipline documented in `DESIGN.md` ("Concurrency
-//! discipline" and "Static concurrency analysis"). The textual rules —
-//! banned types and methods, `unwrap`/`expect` on the write path — are
-//! clippy's, configured in the root `clippy.toml`.
+//! discipline" and "Static concurrency analysis") that neither clippy nor
+//! the runtime rank checker can see. The textual rules — banned types and
+//! methods, `unwrap`/`expect` on the write path, the codecs' indexing,
+//! arithmetic and narrowing casts — are clippy's, configured in the root
+//! `clippy.toml` and in each codec file.
 //!
 //! The analyzer is dependency-free by design so the tool builds instantly
 //! anywhere.
@@ -14,8 +16,7 @@
 //!
 //! A second task, `bench-gate`, compares a fresh criterion report against
 //! the committed `BENCH_protocol.json` baseline and fails on regression
-//! (exit 1) so CI catches performance drift; with `--soak` it holds a fresh
-//! `BENCH_soak.json` to the soak gate's absolute bounds.
+//! (exit 1) so CI catches performance drift. (The soak run gates itself.)
 
 mod atomics;
 mod benchgate;
@@ -24,8 +25,6 @@ mod guards;
 mod hotpath;
 mod lexer;
 mod lints;
-mod lockgraph;
-mod panics;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,20 +37,17 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut allowlist: Option<PathBuf> = None;
     let mut json = false;
-    let mut graph = false;
     let mut hot = false;
     let mut write_baseline = false;
     let mut baseline: Option<PathBuf> = None;
     let mut fresh: Option<PathBuf> = None;
     let mut tolerance = 0.5f64;
-    let mut soak = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--root" => root = iter.next().map(PathBuf::from),
             "--allowlist" => allowlist = iter.next().map(PathBuf::from),
             "--json" => json = true,
-            "--graph" => graph = true,
             "--hot" => hot = true,
             "--write-hotpath-baseline" => write_baseline = true,
             "--baseline" => baseline = iter.next().map(PathBuf::from),
@@ -63,7 +59,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(EXIT_ERROR);
                 }
             },
-            "--soak" => soak = true,
             "lint" => task = Some("lint"),
             "bench-gate" => task = Some("bench-gate"),
             "--help" | "-h" => {
@@ -79,8 +74,8 @@ fn main() -> ExitCode {
     }
 
     match task {
-        Some("lint") => run_lint(root, allowlist, json, graph, hot, write_baseline),
-        Some("bench-gate") => run_bench_gate(baseline, fresh, tolerance, soak),
+        Some("lint") => run_lint(root, allowlist, json, hot, write_baseline),
+        Some("bench-gate") => run_bench_gate(baseline, fresh, tolerance),
         _ => {
             print_usage();
             ExitCode::from(EXIT_ERROR)
@@ -88,15 +83,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Reads the fresh bench report and applies its gate: the tolerance band
-/// against a baseline for criterion reports, or with `--soak` the soak
-/// gate's absolute bounds (no baseline).
-fn run_bench_gate(
-    baseline: Option<PathBuf>,
-    fresh: Option<PathBuf>,
-    tolerance: f64,
-    soak: bool,
-) -> ExitCode {
+/// Reads the fresh criterion report and holds it to the tolerance band
+/// against the baseline.
+fn run_bench_gate(baseline: Option<PathBuf>, fresh: Option<PathBuf>, tolerance: f64) -> ExitCode {
     let workspace_root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(|p| p.parent())
@@ -118,34 +107,27 @@ fn run_bench_gate(
     let Some(fresh_text) = read(&fresh) else {
         return ExitCode::from(EXIT_ERROR);
     };
-    let code = if soak {
-        benchgate::run_soak(&fresh_text)
-    } else {
-        let baseline = baseline.unwrap_or_else(|| workspace_root.join("BENCH_protocol.json"));
-        let Some(base_text) = read(&baseline) else {
-            return ExitCode::from(EXIT_ERROR);
-        };
-        benchgate::run(&base_text, &fresh_text, tolerance)
+    let baseline = baseline.unwrap_or_else(|| workspace_root.join("BENCH_protocol.json"));
+    let Some(base_text) = read(&baseline) else {
+        return ExitCode::from(EXIT_ERROR);
     };
-    ExitCode::from(code as u8)
+    ExitCode::from(benchgate::run(&base_text, &fresh_text, tolerance) as u8)
 }
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo run -p xtask -- lint [--root DIR] [--allowlist FILE] [--json] [--graph] \
-         [--hot] [--write-hotpath-baseline]"
+        "usage: cargo run -p xtask -- lint [--root DIR] [--allowlist FILE] [--json] [--hot] \
+         [--write-hotpath-baseline]"
     );
     eprintln!(
         "       cargo run -p xtask -- bench-gate --fresh FILE [--baseline FILE] [--tolerance F]"
     );
-    eprintln!("       cargo run -p xtask -- bench-gate --soak --fresh FILE");
     eprintln!();
     eprintln!("Lints the workspace sources. With --root, scans an arbitrary");
     eprintln!("directory with every rule applied to every file (used for the");
     eprintln!("violation fixtures under crates/xtask/fixtures).");
     eprintln!();
     eprintln!("  --json    emit machine-readable JSON on stdout instead of text");
-    eprintln!("  --graph   print the inferred lock-order graph after the scan");
     eprintln!("  --hot     print the hot-path function dump (allocation counts)");
     eprintln!("  --write-hotpath-baseline");
     eprintln!("            rewrite crates/xtask/hotpath-baseline.txt with the");
@@ -154,15 +136,12 @@ fn print_usage() {
     eprintln!("bench-gate compares a fresh criterion report against the committed");
     eprintln!("baseline (default BENCH_protocol.json) and exits 1 when any");
     eprintln!("benchmark slowed past the tolerance band (default 0.5 = +50%).");
-    eprintln!("With --soak it holds a fresh soak report to the soak gate's");
-    eprintln!("absolute bounds.");
 }
 
 fn run_lint(
     root: Option<PathBuf>,
     allowlist: Option<PathBuf>,
     json: bool,
-    graph: bool,
     hot: bool,
     write_baseline: bool,
 ) -> ExitCode {
@@ -232,12 +211,6 @@ fn run_lint(
         for v in &report.violations {
             println!("{v}");
         }
-        if graph {
-            println!("lock-order graph ({} edges):", report.graph.len());
-            for line in &report.graph {
-                println!("  {line}");
-            }
-        }
         if hot {
             println!("hot-path functions ({}):", report.hot.len());
             for line in &report.hot {
@@ -277,18 +250,6 @@ fn report_to_json(report: &lints::ScanReport) -> String {
     }
     out.push_str("],\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files));
-    out.push_str("  \"lock_order_graph\": [");
-    for (i, edge) in report.graph.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&json_str(edge));
-    }
-    if !report.graph.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
     out.push_str("  \"hot_path\": [");
     for (i, line) in report.hot.iter().enumerate() {
         if i > 0 {
@@ -333,12 +294,11 @@ mod tests {
                 path: "a\\b.rs".into(),
                 line: 3,
                 col: 7,
-                rule: "lock-order",
+                rule: "relaxed-atomics",
                 message: "say \"no\"".into(),
                 snippet: "\tx.unwrap()".into(),
             }],
             files: 1,
-            graph: vec!["a (1) -> b (2) via `c`  [f.rs:1]".into()],
             hot: vec!["f.rs::f allocs=1  [root]".into()],
             hotpath_counts: std::collections::BTreeMap::new(),
         };
@@ -350,7 +310,6 @@ mod tests {
         // Snippet is trimmed, so the tab disappears rather than escaping.
         assert!(json.contains("\"snippet\": \"x.unwrap()\""));
         assert!(json.contains("\"files_scanned\": 1"));
-        assert!(json.contains("\"lock_order_graph\""));
         assert!(json.contains("\"hot_path\""));
         assert!(json.contains("f.rs::f allocs=1"));
         // Balanced braces/brackets as a cheap well-formedness check.
@@ -367,13 +326,11 @@ mod tests {
         let report = lints::ScanReport {
             violations: Vec::new(),
             files: 0,
-            graph: Vec::new(),
             hot: Vec::new(),
             hotpath_counts: std::collections::BTreeMap::new(),
         };
         let json = report_to_json(&report);
         assert!(json.contains("\"violations\": []"));
-        assert!(json.contains("\"lock_order_graph\": []"));
         assert!(json.contains("\"hot_path\": []"));
     }
 }
