@@ -27,7 +27,7 @@ use pravega_lts::{
 use pravega_segmentstore::{ContainerConfig, SegmentContainer, SegmentStore, SegmentStoreConfig};
 use pravega_sync::{rank, Mutex};
 use pravega_wal::bookie::Bookie;
-use pravega_wal::bookie::MemBookie;
+use pravega_wal::bookie::JournalBookie;
 use pravega_wal::journal::JournalConfig;
 use pravega_wal::ledger::{BookiePool, LedgerScrubReport, ReplicationConfig};
 use pravega_wal::log::{BookkeeperLog, DurableDataLog, LogConfig};
@@ -132,7 +132,7 @@ impl Default for ClusterConfig {
 pub struct PravegaCluster {
     config: ClusterConfig,
     coord: CoordinationService,
-    bookies: Vec<Arc<MemBookie>>,
+    bookies: Vec<Arc<JournalBookie>>,
     routing: Arc<Routing>,
     controller: Arc<ControllerService>,
     autoscaler: AutoScaler,
@@ -160,7 +160,7 @@ pub struct PravegaCluster {
 #[derive(Debug, Clone)]
 pub struct ClusterMetrics {
     registry: MetricsRegistry,
-    bookies: Vec<Arc<MemBookie>>,
+    bookies: Vec<Arc<JournalBookie>>,
 }
 
 impl ClusterMetrics {
@@ -216,9 +216,9 @@ impl PravegaCluster {
         if let Some(plan) = &config.crash_faults {
             journal.crash_hook = plan.crash_hook();
         }
-        let bookies: Vec<Arc<MemBookie>> = (0..config.bookie_count)
+        let bookies: Vec<Arc<JournalBookie>> = (0..config.bookie_count)
             .map(|i| {
-                MemBookie::new(&format!("bookie-{i}"), journal.clone())
+                JournalBookie::new(&format!("bookie-{i}"), journal.clone())
                     .map(Arc::new)
                     .map_err(|e| ClusterError::Other(format!("start bookie-{i}: {e}")))
             })
@@ -270,7 +270,7 @@ impl PravegaCluster {
     fn boot(
         config: ClusterConfig,
         coord: CoordinationService,
-        bookies: Vec<Arc<MemBookie>>,
+        bookies: Vec<Arc<JournalBookie>>,
         lts: ChunkedSegmentStorage,
         chunk_backend: Option<Arc<InMemoryChunkStorage>>,
         metrics: MetricsRegistry,
@@ -528,7 +528,7 @@ impl PravegaCluster {
 
     /// The bookies backing the WAL pool — the injection surface corruption
     /// tests mutate stored entries through (`pravega_faults::corrupt_entry`).
-    pub fn mem_bookies(&self) -> Vec<Arc<MemBookie>> {
+    pub fn mem_bookies(&self) -> Vec<Arc<JournalBookie>> {
         self.bookies.clone()
     }
 

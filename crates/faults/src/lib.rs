@@ -40,7 +40,7 @@ use pravega_common::crashpoints::CrashHook;
 use pravega_common::metrics::{Counter, MetricsRegistry};
 use pravega_lts::{ChunkStorage, LtsError};
 use pravega_sync::{rank, Mutex};
-use pravega_wal::{Bookie, BookieError, LedgerId};
+use pravega_wal::{Ack, Bookie, BookieError, LedgerId};
 use rand::{Rng, SeedableRng};
 
 /// Probabilistic fault rates for a [`FaultPlan`].
@@ -465,7 +465,7 @@ pub fn corrupt_chunk(
 /// the entry is absent.
 pub fn corrupt_entry(
     plan: &FaultPlan,
-    bookie: &pravega_wal::MemBookie,
+    bookie: &pravega_wal::JournalBookie,
     ledger: LedgerId,
     entry: u64,
 ) -> Option<FaultDecision> {
@@ -616,19 +616,26 @@ impl FaultyBookie {
         &self.plan
     }
 
-    fn gate(&self, operation: &str, payload_len: usize) -> Result<(), BookieError> {
-        match self.plan.decide(operation, payload_len) {
-            FaultDecision::None => Ok(()),
-            FaultDecision::Latency(d) => {
-                spike(d);
-                Ok(())
-            }
+    /// The plan's draw for one operation: `Ok(Some(d))` is a latency spike.
+    /// Entries are atomic, so the payload length passed is 0 and no torn
+    /// write is drawn; every other fault is plain unavailability.
+    fn draw(&self, operation: &str) -> Result<Option<Duration>, BookieError> {
+        match self.plan.decide(operation, 0) {
+            FaultDecision::None => Ok(None),
+            FaultDecision::Latency(d) => Ok(Some(d)),
             FaultDecision::Transient
             | FaultDecision::Torn { .. }
             | FaultDecision::Crash
             | FaultDecision::FlipBit { .. }
             | FaultDecision::TruncateTail { .. } => Err(BookieError::Unavailable),
         }
+    }
+
+    fn gate(&self, operation: &str) -> Result<(), BookieError> {
+        if let Some(d) = self.draw(operation)? {
+            spike(d);
+        }
+        Ok(())
     }
 }
 
@@ -637,37 +644,46 @@ impl Bookie for FaultyBookie {
         self.inner.id()
     }
 
-    fn add_entry(
+    fn add_entry_then(
         &self,
         ledger: LedgerId,
         entry: u64,
         fence_token: u64,
         data: Bytes,
-    ) -> Result<(), BookieError> {
-        // Entries are atomic: a "torn" draw degrades to plain unavailability
-        // (pass payload_len 0 so torn is never drawn and the op consumes the
-        // same kind of draw as other bookie ops).
-        self.gate("bookie.add_entry", 0)?;
-        self.inner.add_entry(ledger, entry, fence_token, data)
+        ack: Ack,
+    ) {
+        // A latency draw must not sleep here, on the appender under its
+        // ledger's sequencer: it rides with the ack onto this bookie's
+        // journal thread, so the spike stalls this whole bookie (every
+        // completion behind it, `Ack::delayed`) but never the appender, and
+        // the quorum acks without it.
+        match self.draw("bookie.add_entry") {
+            Ok(delay) => {
+                let ack = ack.delayed(delay.unwrap_or_default());
+                self.inner
+                    .add_entry_then(ledger, entry, fence_token, data, ack);
+            }
+            Err(e) => ack.complete(Err(e)),
+        }
     }
 
     fn read_entry(&self, ledger: LedgerId, entry: u64) -> Result<Bytes, BookieError> {
-        self.gate("bookie.read_entry", 0)?;
+        self.gate("bookie.read_entry")?;
         self.inner.read_entry(ledger, entry)
     }
 
     fn last_entry(&self, ledger: LedgerId) -> Result<Option<u64>, BookieError> {
-        self.gate("bookie.last_entry", 0)?;
+        self.gate("bookie.last_entry")?;
         self.inner.last_entry(ledger)
     }
 
     fn fence(&self, ledger: LedgerId, token: u64) -> Result<Option<u64>, BookieError> {
-        self.gate("bookie.fence", 0)?;
+        self.gate("bookie.fence")?;
         self.inner.fence(ledger, token)
     }
 
     fn delete_ledger(&self, ledger: LedgerId) -> Result<(), BookieError> {
-        self.gate("bookie.delete_ledger", 0)?;
+        self.gate("bookie.delete_ledger")?;
         self.inner.delete_ledger(ledger)
     }
 }
@@ -918,8 +934,8 @@ mod tests {
         fn id(&self) -> &str {
             "stub"
         }
-        fn add_entry(&self, _: LedgerId, _: u64, _: u64, _: Bytes) -> Result<(), BookieError> {
-            Ok(())
+        fn add_entry_then(&self, _: LedgerId, _: u64, _: u64, _: Bytes, ack: Ack) {
+            ack.complete(Ok(()));
         }
         fn read_entry(&self, _: LedgerId, _: u64) -> Result<Bytes, BookieError> {
             Ok(Bytes::new())
@@ -1040,7 +1056,7 @@ mod tests {
     fn corrupt_entry_mutates_the_stored_envelope() {
         let plan = FaultPlan::new(4, lossy_spec());
         let bookie =
-            pravega_wal::MemBookie::new("b0", pravega_wal::JournalConfig::default()).unwrap();
+            pravega_wal::JournalBookie::new("b0", pravega_wal::JournalConfig::default()).unwrap();
         bookie
             .add_entry(LedgerId(1), 0, 0, Bytes::from(vec![9u8; 32]))
             .unwrap();

@@ -74,6 +74,15 @@ pub fn encode_block(payload: &[u8]) -> Bytes {
     buf.freeze()
 }
 
+/// The crc32c an encoded block carries in its trailer: what
+/// [`encode_block`] computed, read back instead of checksumming the payload
+/// a second time.
+pub fn block_crc(block: &[u8]) -> u32 {
+    block
+        .last_chunk()
+        .map_or(0, |trailer| u32::from_be_bytes(*trailer))
+}
+
 /// The whole-chunk digest: crc32c over the serialized block index. crc32c
 /// of concatenated payloads cannot be derived from per-block CRCs, so the
 /// digest-of-digests stands in for it — any block change changes its CRC,
@@ -232,6 +241,13 @@ mod tests {
 
     fn info(payload: &[u8]) -> BlockInfo {
         (u32::try_from(payload.len()).unwrap(), crc32c(payload))
+    }
+
+    #[test]
+    fn block_crc_reads_back_the_trailer() {
+        for payload in [&b""[..], b"x", b"hello world"] {
+            assert_eq!(block_crc(&encode_block(payload)), crc32c(payload));
+        }
     }
 
     #[test]

@@ -410,7 +410,7 @@ impl ChunkedSegmentStorage {
             let payload = &remaining[..take];
             let frame = format::encode_block(payload);
             self.write_frame(&last.name, format::physical_data_len(&last.blocks), &frame)?;
-            last.blocks.push((take as u32, crc32c(payload)));
+            last.blocks.push((take as u32, format::block_crc(&frame)));
             last.length += take as u64;
             record.length += take as u64;
             remaining = &remaining[take..];

@@ -64,7 +64,9 @@ pub struct ContainerConfig {
     pub cache_high_watermark: f64,
     /// Operations between automatic metadata checkpoints.
     pub checkpoint_interval_ops: u64,
-    /// Storage-writer pass interval.
+    /// Storage-writer pass interval. The flusher and the WAL truncator each
+    /// wait one interval before their first pass, so a container runs no
+    /// background pass until `flush_interval` after it starts.
     pub flush_interval: Duration,
     /// Largest single write to LTS.
     pub max_flush_bytes: usize,

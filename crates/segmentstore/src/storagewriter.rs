@@ -65,7 +65,10 @@ pub(crate) fn start_flusher(inner: Arc<ContainerInner>) -> Result<JoinHandle<()>
     std::thread::Builder::new()
         .name(format!("storage-writer-{}", inner.id))
         .spawn(move || {
-            while !inner.stopped.load(Ordering::SeqCst) {
+            // Sliced sleep so a stopping container joins its flusher
+            // promptly even under a long flush interval. It comes first: the
+            // first pass runs one interval after start, not at it.
+            while !sleep_then_stopped(&inner) {
                 let (result, truncate_due) = run_flush_pass(&inner, Some(&mut pacer));
                 if truncate_due {
                     // The truncator thread picks the signal up within one
@@ -79,12 +82,16 @@ pub(crate) fn start_flusher(inner: Arc<ContainerInner>) -> Result<JoinHandle<()>
                     inner.metrics.flush_errors.inc();
                     inner.metrics.last_flush_error.set(e.to_string());
                 }
-                // Sliced sleep so a stopping container joins its flusher
-                // promptly even under a long flush interval.
-                sleep_interruptible(inner.config.flush_interval, &inner.stopped);
             }
         })
         .map_err(|e| SegmentError::Internal(format!("spawn storage writer: {e}")))
+}
+
+/// Waits one `flush_interval` (cut short by a stop) and says whether the
+/// container has stopped. The background loops call it before each pass.
+fn sleep_then_stopped(inner: &ContainerInner) -> bool {
+    sleep_interruptible(inner.config.flush_interval, &inner.stopped);
+    inner.stopped.load(Ordering::SeqCst)
 }
 
 /// Starts the checkpoint/WAL-truncator thread for a container. It wakes on
@@ -95,14 +102,13 @@ pub(crate) fn start_truncator(inner: Arc<ContainerInner>) -> Result<JoinHandle<(
     std::thread::Builder::new()
         .name(format!("wal-truncator-{}", inner.id))
         .spawn(move || {
-            while !inner.stopped.load(Ordering::SeqCst) {
+            while !sleep_then_stopped(&inner) {
                 if inner.truncate_pending.swap(false, Ordering::AcqRel) {
                     if let Err(e) = checkpoint_and_truncate(&inner) {
                         inner.metrics.flush_errors.inc();
                         inner.metrics.last_flush_error.set(e.to_string());
                     }
                 }
-                sleep_interruptible(inner.config.flush_interval, &inner.stopped);
             }
         })
         .map_err(|e| SegmentError::Internal(format!("spawn wal truncator: {e}")))

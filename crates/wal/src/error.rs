@@ -103,8 +103,6 @@ pub enum WalError {
     Metadata(String),
     /// Underlying bookie failure.
     Bookie(BookieError),
-    /// A pipeline worker thread could not be spawned (resource exhaustion).
-    Spawn(String),
 }
 
 impl fmt::Display for WalError {
@@ -118,7 +116,6 @@ impl fmt::Display for WalError {
             WalError::Closed => write!(f, "log closed"),
             WalError::Metadata(msg) => write!(f, "ledger metadata error: {msg}"),
             WalError::Bookie(e) => write!(f, "bookie error: {e}"),
-            WalError::Spawn(msg) => write!(f, "failed to spawn pipeline worker: {msg}"),
         }
     }
 }
@@ -145,9 +142,7 @@ impl RetryClass for WalError {
         match self {
             WalError::NotEnoughBookies { .. } | WalError::QuorumLost => ErrorClass::Transient,
             WalError::Bookie(e) => e.error_class(),
-            WalError::Fenced | WalError::Closed | WalError::Metadata(_) | WalError::Spawn(_) => {
-                ErrorClass::Permanent
-            }
+            WalError::Fenced | WalError::Closed | WalError::Metadata(_) => ErrorClass::Permanent,
         }
     }
 }

@@ -6,6 +6,12 @@
 //! grouping the paper credits for Bookkeeper's good durable-write latency
 //! (§5.2: "data is persisted before being acknowledged, but opportunistically
 //! grouped upon flushes").
+//!
+//! A request carries its own [`Completion`], which the journal thread runs
+//! after the group's sync with the group's shared result. A bookie add is
+//! completed right there — indexed and acked to its ledger writer (see
+//! [`crate::bookie`]) — so nobody waits on a thread per add, and any number
+//! of one ledger's adds can share a group.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -47,8 +53,8 @@ impl Default for JournalConfig {
 
 /// Where journaled bytes go.
 pub trait JournalSink: Send + 'static {
-    /// Appends one record's bytes to the journal device.
-    fn write(&mut self, record: &[u8]) -> Result<(), BookieError>;
+    /// Appends one record to the journal device: `head`, then `body`.
+    fn write(&mut self, head: &[u8], body: &[u8]) -> Result<(), BookieError>;
     /// Syncs the device (fsync or a simulated equivalent).
     fn sync(&mut self) -> Result<(), BookieError>;
 }
@@ -71,8 +77,8 @@ impl MemSink {
 }
 
 impl JournalSink for MemSink {
-    fn write(&mut self, record: &[u8]) -> Result<(), BookieError> {
-        self.bytes_written += record.len() as u64;
+    fn write(&mut self, head: &[u8], body: &[u8]) -> Result<(), BookieError> {
+        self.bytes_written += (head.len() + body.len()) as u64;
         Ok(())
     }
 
@@ -111,9 +117,10 @@ impl FileSink {
 }
 
 impl JournalSink for FileSink {
-    fn write(&mut self, record: &[u8]) -> Result<(), BookieError> {
+    fn write(&mut self, head: &[u8], body: &[u8]) -> Result<(), BookieError> {
         self.file
-            .write_all(record)
+            .write_all(head)
+            .and_then(|()| self.file.write_all(body))
             .map_err(|e| BookieError::Io(e.to_string()))
     }
 
@@ -124,19 +131,53 @@ impl JournalSink for FileSink {
     }
 }
 
-struct JournalRequest {
-    record: Bytes,
-    completer: Completer<Result<(), BookieError>>,
+/// What the journal thread does with one record: the header it writes
+/// ahead of the record's body, and what it runs once the record's group is
+/// synced. The journal knows no record format; its owner does (a bookie's
+/// add record is in [`crate::bookie`]). Dropped unrun (a stopped journal, a
+/// failed send), a completion must leave its waiter seeing
+/// [`BookieError::Unavailable`].
+pub trait Completion: Send + 'static {
+    /// A header's bytes.
+    type Head: AsRef<[u8]>;
+
+    /// The header written just ahead of `body`, if any. Runs on the journal
+    /// thread, so an owner can keep the header's work off its caller's path.
+    fn head(&self, body: &[u8]) -> Option<Self::Head>;
+
+    /// Runs after the group's sync with the group's shared result and the
+    /// record's body.
+    fn settle(self, result: Result<(), BookieError>, body: Bytes);
+}
+
+/// A blocking caller waiting on a promise: its record is the body alone. A
+/// dropped completer breaks the promise, which [`Journal::append`] reports
+/// as [`BookieError::Unavailable`].
+impl Completion for Completer<Result<(), BookieError>> {
+    type Head = [u8; 0];
+
+    fn head(&self, _: &[u8]) -> Option<[u8; 0]> {
+        None
+    }
+
+    fn settle(self, result: Result<(), BookieError>, _: Bytes) {
+        self.complete(result);
+    }
+}
+
+struct JournalRequest<C> {
+    body: Bytes,
+    done: C,
 }
 
 /// Maximum requests drained into a single group commit.
 const MAX_GROUP_SIZE: usize = 4096;
 
 /// The journal thread's group-commit loop: drain a batch, write every
-/// record, sync once, then complete all acks with the shared result.
-fn journal_commit_loop(
+/// record, sync once, then run every completion with the shared result.
+fn journal_commit_loop<C: Completion>(
     sink: &mut dyn JournalSink,
-    rx: &Receiver<JournalRequest>,
+    rx: &Receiver<JournalRequest<C>>,
     config: &JournalConfig,
     syncs: &Counter,
     sizes: &Histogram,
@@ -152,15 +193,21 @@ fn journal_commit_loop(
         let mut result: Result<(), BookieError> = Ok(());
         for req in &batch {
             if result.is_ok() {
+                let head = req.done.head(&req.body);
+                let head: &[u8] = head.as_ref().map_or(&[], AsRef::as_ref);
+                let body: &[u8] = &req.body;
                 if config.crash_hook.fire(crashpoints::WAL_JOURNAL_MID_WRITE) {
                     // Simulated crash mid-write: a strict prefix of the
                     // record reaches the device, nothing is synced, nothing
                     // is acked.
-                    let keep = req.record.len() / 2;
-                    let _ = sink.write(req.record.get(..keep).unwrap_or(&req.record));
+                    let keep = (head.len() + body.len()) / 2;
+                    let _ = sink.write(
+                        head.get(..keep).unwrap_or(head),
+                        body.get(..keep.saturating_sub(head.len())).unwrap_or(&[]),
+                    );
                     result = Err(BookieError::Io("crash injected mid journal write".into()));
                 } else {
-                    result = sink.write(&req.record);
+                    result = sink.write(head, body);
                 }
             }
         }
@@ -180,15 +227,17 @@ fn journal_commit_loop(
             result = Err(BookieError::AckLost);
         }
         for req in batch {
-            req.completer.complete(result.clone());
+            req.done.settle(result.clone(), req.body);
         }
     }
 }
 
-/// A group-committing journal. `append` blocks until the record is durable
-/// (or, with `sync_on_add = false`, merely written).
-pub struct Journal {
-    tx: Option<Sender<JournalRequest>>,
+/// A group-committing journal whose records complete as `C`.
+/// [`Journal::append`] blocks until the record is durable (or, with
+/// `sync_on_add = false`, merely written); [`Journal::submit`] queues a
+/// record with its completion and returns at once.
+pub struct Journal<C: Completion = Completer<Result<(), BookieError>>> {
+    tx: Option<Sender<JournalRequest<C>>>,
     handle: Option<JoinHandle<()>>,
     /// Number of group commits (syncs) performed.
     pub sync_count: Arc<Counter>,
@@ -196,7 +245,7 @@ pub struct Journal {
     pub group_sizes: Arc<Histogram>,
 }
 
-impl std::fmt::Debug for Journal {
+impl<C: Completion> std::fmt::Debug for Journal<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
             .field("syncs", &self.sync_count.get())
@@ -204,7 +253,7 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-impl Journal {
+impl<C: Completion> Journal<C> {
     /// Starts the journal thread writing to `sink`.
     ///
     /// # Errors
@@ -214,7 +263,7 @@ impl Journal {
         mut sink: Box<dyn JournalSink>,
         config: JournalConfig,
     ) -> Result<Self, BookieError> {
-        let (tx, rx): (Sender<JournalRequest>, Receiver<JournalRequest>) = unbounded();
+        let (tx, rx): (Sender<JournalRequest<C>>, Receiver<JournalRequest<C>>) = unbounded();
         let sync_count = Arc::new(Counter::new());
         let group_sizes = Arc::new(Histogram::new());
         let syncs = sync_count.clone();
@@ -231,17 +280,22 @@ impl Journal {
         })
     }
 
+    /// Queues a record and returns at once. The journal thread runs `done`
+    /// once the record's group is synced.
+    pub fn submit(&self, body: Bytes, done: C) {
+        if let Some(tx) = &self.tx {
+            // A failed send drops the request, and `done` with it, which
+            // reports `Unavailable`.
+            let _ = tx.send(JournalRequest { body, done });
+        }
+    }
+}
+
+impl Journal {
     /// Queues a record and returns a promise completed once it is persisted.
     pub fn append_async(&self, record: Bytes) -> Promise<Result<(), BookieError>> {
         let (completer, pr) = promise();
-        match &self.tx {
-            Some(tx) => {
-                if tx.send(JournalRequest { record, completer }).is_err() {
-                    return Promise::ready(Err(BookieError::Unavailable));
-                }
-            }
-            None => return Promise::ready(Err(BookieError::Unavailable)),
-        }
+        self.submit(record, completer);
         pr
     }
 
@@ -258,12 +312,54 @@ impl Journal {
     }
 }
 
-impl Drop for Journal {
+impl<C: Completion> Drop for Journal<C> {
     fn drop(&mut self) {
         self.tx.take();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// Test sinks shared by the journal, bookie and ledger tests.
+#[cfg(test)]
+pub(crate) mod test_sinks {
+    use super::*;
+
+    /// A sink whose every sync waits at a gate the test holds, after
+    /// saying so on `entered`: each `()` sent lets one sync through, and so
+    /// does closing the gate. A `dying` sink panics once let through — the
+    /// journal device failing and taking the journal thread down with it.
+    pub(crate) struct GatedSink {
+        gate: Receiver<()>,
+        entered: Sender<()>,
+        dying: bool,
+    }
+
+    impl JournalSink for GatedSink {
+        fn write(&mut self, _: &[u8], _: &[u8]) -> Result<(), BookieError> {
+            Ok(())
+        }
+
+        fn sync(&mut self) -> Result<(), BookieError> {
+            let _ = self.entered.send(());
+            let _ = self.gate.recv();
+            assert!(!self.dying, "journal device died");
+            Ok(())
+        }
+    }
+
+    /// A gated sink, the sender that opens its gate, and the receiver told
+    /// each time a sync reaches the gate.
+    pub(crate) fn gated(dying: bool) -> (Sender<()>, Receiver<()>, Box<dyn JournalSink>) {
+        let (open, gate) = unbounded();
+        let (entered, at_gate) = unbounded();
+        let sink = GatedSink {
+            gate,
+            entered,
+            dying,
+        };
+        (open, at_gate, Box::new(sink))
     }
 }
 
@@ -340,12 +436,31 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A journal whose thread has stopped (its device died mid-sync) answers
+    /// every append `Unavailable`: the one in flight, and any sent later.
+    /// `append_async`'s promise breaks, which is the `Unavailable` that
+    /// `append` returns.
     #[test]
     fn append_after_drop_reports_unavailable() {
-        let j = Journal::start(Box::new(MemSink::default()), JournalConfig::default()).unwrap();
-        let sync_count = j.sync_count.clone();
-        drop(j);
-        let _ = sync_count; // journal thread joined cleanly
+        let (gate, at_gate, sink) = test_sinks::gated(true);
+        let j: Journal = Journal::start(sink, JournalConfig::default()).unwrap();
+        let in_flight = j.append_async(Bytes::from_static(b"in flight"));
+        at_gate.recv().unwrap();
+        // The thread panics at the sync, dropping its group and, with its
+        // receiver, its queue.
+        drop(gate);
+        assert_eq!(
+            j.append(Bytes::from_static(b"late")),
+            Err(BookieError::Unavailable)
+        );
+        let later = j.append_async(Bytes::from_static(b"later"));
+        for p in [in_flight, later] {
+            assert_eq!(
+                p.wait_for(Duration::from_secs(30)),
+                Err(pravega_common::future::WaitError::Broken)
+            );
+        }
+        assert_eq!(j.sync_count.get(), 0);
     }
 
     /// Pins the shutdown ordering (DESIGN.md §10 lists the join sites):

@@ -5,17 +5,15 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Sender};
 use pravega_common::buf::{get_string, get_u64, get_u8};
 use pravega_common::future::{promise, Completer, Promise};
 use pravega_common::metrics::{Counter, MetricsRegistry};
 use pravega_coordination::CoordinationService;
-use pravega_sync::{rank, Mutex};
+use pravega_sync::{rank, Condvar, Mutex};
 
-use crate::bookie::{decode_entry_envelope, encode_entry_envelope, Bookie};
+use crate::bookie::{decode_entry_envelope, encode_entry_envelope, Ack, Bookie};
 use crate::error::{BookieError, WalError};
 
 /// Identifier of a ledger, unique within the cluster.
@@ -202,22 +200,87 @@ impl BookiePool {
     }
 }
 
-struct AckMsg {
-    entry: u64,
-    result: Result<(), BookieError>,
-}
-
 struct PendingEntry {
     acks: usize,
     nacks: usize,
     completer: Completer<Result<u64, WalError>>,
 }
 
-struct WriterShared {
-    pending: Mutex<BTreeMap<u64, PendingEntry>>,
+/// A writer's unanswered work, under `WAL_LEDGER_PENDING`.
+#[derive(Default)]
+struct Pending {
+    /// Entries neither confirmed nor failed, by entry id.
+    entries: BTreeMap<u64, PendingEntry>,
+    /// Replica adds sent and not yet answered: what `close` drains.
+    replica_adds: usize,
+}
+
+/// The state a ledger writer shares with its replicas' acks.
+pub(crate) struct WriterShared {
+    config: ReplicationConfig,
+    pending: Mutex<Pending>,
+    /// Signalled when `pending.replica_adds` reaches zero.
+    drained: Condvar,
     lac: AtomicI64,
     failed: AtomicBool,
     fenced: AtomicBool,
+}
+
+impl WriterShared {
+    fn failure(&self) -> WalError {
+        if self.fenced.load(Ordering::SeqCst) {
+            WalError::Fenced
+        } else {
+            WalError::QuorumLost
+        }
+    }
+
+    /// One replica's answer for `entry`, run by the bookie that answers
+    /// (its journal thread, or the appender for an add refused up front).
+    /// A fence — or an entry that can no longer reach its ack quorum —
+    /// fails every pending entry; otherwise entries confirm strictly in
+    /// order from the head, as in BookKeeper.
+    pub(crate) fn on_ack(&self, entry: u64, result: Result<(), BookieError>) {
+        let mut pending = self.pending.lock();
+        pending.replica_adds = pending.replica_adds.saturating_sub(1);
+        let fail_all = match pending.entries.get_mut(&entry) {
+            None => false,
+            Some(p) => match result {
+                Ok(()) => {
+                    p.acks += 1;
+                    false
+                }
+                Err(BookieError::Fenced { .. }) => {
+                    self.fenced.store(true, Ordering::SeqCst);
+                    true
+                }
+                Err(_) => {
+                    p.nacks += 1;
+                    p.nacks > self.config.write_quorum - self.config.ack_quorum
+                }
+            },
+        };
+        if fail_all || self.failed.load(Ordering::SeqCst) {
+            self.failed.store(true, Ordering::SeqCst);
+            let error = self.failure();
+            for (_, p) in std::mem::take(&mut pending.entries) {
+                p.completer.complete(Err(error.clone()));
+            }
+        }
+        while pending
+            .entries
+            .first_key_value()
+            .is_some_and(|(_, p)| p.acks >= self.config.ack_quorum)
+        {
+            if let Some((entry, p)) = pending.entries.pop_first() {
+                self.lac.store(entry as i64, Ordering::SeqCst);
+                p.completer.complete(Ok(entry));
+            }
+        }
+        if pending.replica_adds == 0 {
+            self.drained.notify_all();
+        }
+    }
 }
 
 /// An open handle for appending to a ledger with quorum replication.
@@ -225,13 +288,13 @@ struct WriterShared {
 /// Appends are pipelined: [`LedgerWriter::append`] returns a [`Promise`]
 /// completed once `ack_quorum` bookies confirm the entry *and* every earlier
 /// entry is confirmed (entries confirm strictly in order, as in BookKeeper).
+/// The writer owns no threads: each entry goes straight to its replicas,
+/// whose journal threads run the acknowledgement.
 pub struct LedgerWriter {
     metadata: LedgerMetadata,
     fence_token: u64,
+    ensemble: Vec<Arc<dyn Bookie>>,
     shared: Arc<WriterShared>,
-    worker_txs: Vec<Option<Sender<(u64, Bytes)>>>,
-    worker_handles: Vec<JoinHandle<()>>,
-    collector_handle: Option<JoinHandle<()>>,
     sequencer: Mutex<u64>,
 }
 
@@ -245,143 +308,27 @@ impl std::fmt::Debug for LedgerWriter {
 }
 
 impl LedgerWriter {
-    fn start(
-        metadata: LedgerMetadata,
-        ensemble: Vec<Arc<dyn Bookie>>,
-        fence_token: u64,
-    ) -> Result<Self, WalError> {
+    fn new(metadata: LedgerMetadata, ensemble: Vec<Arc<dyn Bookie>>, fence_token: u64) -> Self {
         let shared = Arc::new(WriterShared {
-            pending: Mutex::new(rank::WAL_LEDGER_PENDING, BTreeMap::new()),
+            config: metadata.config,
+            pending: Mutex::new(rank::WAL_LEDGER_PENDING, Pending::default()),
+            drained: Condvar::new(),
             lac: AtomicI64::new(-1),
             failed: AtomicBool::new(false),
             fenced: AtomicBool::new(false),
         });
-        let (ack_tx, ack_rx) = unbounded::<AckMsg>();
-        let ledger = metadata.id;
-        let mut worker_txs: Vec<Option<Sender<(u64, Bytes)>>> = Vec::new();
-        let mut worker_handles = Vec::new();
-        for bookie in ensemble {
-            let (tx, rx) = unbounded::<(u64, Bytes)>();
-            let ack_tx = ack_tx.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("ledger-{}-{}", ledger.0, bookie.id()))
-                .spawn(move || {
-                    while let Ok((entry, data)) = rx.recv() {
-                        let result = bookie.add_entry(ledger, entry, fence_token, data);
-                        if ack_tx.send(AckMsg { entry, result }).is_err() {
-                            break;
-                        }
-                    }
-                });
-            match spawned {
-                Ok(handle) => {
-                    worker_txs.push(Some(tx));
-                    worker_handles.push(handle);
-                }
-                Err(e) => {
-                    // Unwind the workers spawned so far: closing their
-                    // channels makes them exit, then join.
-                    drop(tx);
-                    worker_txs.clear();
-                    for handle in worker_handles {
-                        let _ = handle.join();
-                    }
-                    return Err(WalError::Spawn(e.to_string()));
-                }
-            }
-        }
-        drop(ack_tx);
-
-        let collector_shared = shared.clone();
-        let config = metadata.config;
-        let collector_handle = std::thread::Builder::new()
-            .name(format!("ledger-{}-acks", ledger.0))
-            .spawn(move || {
-                while let Ok(msg) = ack_rx.recv() {
-                    let mut pending = collector_shared.pending.lock();
-                    let fail_all = {
-                        match pending.get_mut(&msg.entry) {
-                            None => false,
-                            Some(p) => match msg.result {
-                                Ok(()) => {
-                                    p.acks += 1;
-                                    false
-                                }
-                                Err(BookieError::Fenced { .. }) => {
-                                    collector_shared.fenced.store(true, Ordering::SeqCst);
-                                    true
-                                }
-                                Err(_) => {
-                                    p.nacks += 1;
-                                    p.nacks > config.write_quorum - config.ack_quorum
-                                }
-                            },
-                        }
-                    };
-                    if fail_all {
-                        collector_shared.failed.store(true, Ordering::SeqCst);
-                        let error = if collector_shared.fenced.load(Ordering::SeqCst) {
-                            WalError::Fenced
-                        } else {
-                            WalError::QuorumLost
-                        };
-                        for (_, p) in std::mem::take(&mut *pending) {
-                            p.completer.complete(Err(error.clone()));
-                        }
-                        continue;
-                    }
-                    // Confirm in order from the head of the pending map.
-                    loop {
-                        let head_ready = pending
-                            .iter()
-                            .next()
-                            .map(|(e, p)| (*e, p.acks >= config.ack_quorum))
-                            .filter(|(_, ready)| *ready)
-                            .map(|(e, _)| e);
-                        match head_ready
-                            .and_then(|entry| pending.remove(&entry).map(|p| (entry, p)))
-                        {
-                            Some((entry, p)) => {
-                                collector_shared.lac.store(entry as i64, Ordering::SeqCst);
-                                p.completer.complete(Ok(entry));
-                            }
-                            None => break,
-                        }
-                    }
-                }
-            });
-        let collector_handle = match collector_handle {
-            Ok(handle) => handle,
-            Err(e) => {
-                for tx in &mut worker_txs {
-                    tx.take();
-                }
-                for handle in worker_handles {
-                    let _ = handle.join();
-                }
-                return Err(WalError::Spawn(e.to_string()));
-            }
-        };
-
-        Ok(Self {
+        Self {
             metadata,
             fence_token,
+            ensemble,
             shared,
-            worker_txs,
-            worker_handles,
-            collector_handle: Some(collector_handle),
             sequencer: Mutex::new(rank::WAL_LEDGER_SEQUENCER, 0),
-        })
+        }
     }
 
     /// This writer's ledger metadata.
     pub fn metadata(&self) -> &LedgerMetadata {
         &self.metadata
-    }
-
-    /// The fence token this writer presents to bookies.
-    pub fn fence_token(&self) -> u64 {
-        self.fence_token
     }
 
     /// Appends an entry; the promise completes with the entry id once the
@@ -392,20 +339,16 @@ impl LedgerWriter {
     /// holds identical checksummed bytes.
     pub fn append(&self, data: Bytes) -> Promise<Result<u64, WalError>> {
         let data = encode_entry_envelope(&data);
-        if self.shared.failed.load(Ordering::SeqCst) {
-            let err = if self.shared.fenced.load(Ordering::SeqCst) {
-                WalError::Fenced
-            } else {
-                WalError::QuorumLost
-            };
-            return Promise::ready(Err(err));
-        }
         let (completer, pr) = promise();
-        let entry = {
-            let mut seq = self.sequencer.lock();
-            let entry = *seq;
-            *seq += 1;
-            self.shared.pending.lock().insert(
+        let mut seq = self.sequencer.lock();
+        let entry = *seq;
+        let stripe = self.metadata.stripe_indices(entry);
+        {
+            let mut pending = self.shared.pending.lock();
+            if self.shared.failed.load(Ordering::SeqCst) {
+                return Promise::ready(Err(self.shared.failure()));
+            }
+            pending.entries.insert(
                 entry,
                 PendingEntry {
                     acks: 0,
@@ -413,14 +356,19 @@ impl LedgerWriter {
                     completer,
                 },
             );
-            for idx in self.metadata.stripe_indices(entry) {
-                if let Some(Some(tx)) = self.worker_txs.get(idx) {
-                    let _ = tx.send((entry, data.clone()));
-                }
+            pending.replica_adds += stripe.len();
+        }
+        *seq += 1;
+        // Handed over under the sequencer, so every bookie journals this
+        // ledger's entries in entry order. No bookie blocks here; one that
+        // refuses an add acks it on this thread, and a missing ensemble
+        // member drops its ack, which answers `Unavailable`.
+        for idx in stripe {
+            let ack = Ack::writer(self.shared.clone(), entry);
+            if let Some(bookie) = self.ensemble.get(idx) {
+                bookie.add_entry_then(self.metadata.id, entry, self.fence_token, data.clone(), ack);
             }
-            entry
-        };
-        let _ = entry;
+        }
         pr
     }
 
@@ -444,36 +392,26 @@ impl LedgerWriter {
         self.shared.failed.load(Ordering::SeqCst)
     }
 
-    /// Shuts down the pipeline and returns the last confirmed entry.
-    /// In-flight appends are waited for (they complete or fail first).
-    pub fn close(mut self) -> Option<u64> {
-        self.shutdown();
-        let lac = self.shared.lac.load(Ordering::SeqCst);
-        if lac < 0 {
-            None
-        } else {
-            Some(lac as u64)
-        }
+    /// Drains the writer and returns the last confirmed entry: every
+    /// replica add it sent has been answered (stored, refused, or lost with
+    /// its bookie) when this returns, so each in-flight append has completed
+    /// or failed.
+    pub fn close(self) -> Option<u64> {
+        self.wait_drained();
+        self.last_add_confirmed()
     }
 
-    fn shutdown(&mut self) {
-        for tx in &mut self.worker_txs {
-            tx.take();
+    fn wait_drained(&self) {
+        let mut pending = self.shared.pending.lock();
+        while pending.replica_adds > 0 {
+            self.shared.drained.wait(&mut pending);
         }
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(h) = self.collector_handle.take() {
-            let _ = h.join();
-        }
-        // Anything still pending can never complete: break the promises.
-        self.shared.pending.lock().clear();
     }
 }
 
 impl Drop for LedgerWriter {
     fn drop(&mut self) {
-        self.shutdown();
+        self.wait_drained();
     }
 }
 
@@ -591,7 +529,7 @@ impl LedgerManager {
                 pravega_coordination::CreateMode::Persistent,
             )
             .map_err(|e| WalError::Metadata(e.to_string()))?;
-        LedgerWriter::start(metadata, ensemble, fence_token)
+        Ok(LedgerWriter::new(metadata, ensemble, fence_token))
     }
 
     /// Loads ledger metadata.
@@ -838,7 +776,7 @@ impl LedgerManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bookie::{mem_bookies, MemBookie};
+    use crate::bookie::{mem_bookies, JournalBookie};
     use crate::journal::JournalConfig;
 
     fn setup(n: usize) -> (CoordinationService, BookiePool, LedgerManager) {
@@ -848,30 +786,99 @@ mod tests {
         (coord, pool, mgr)
     }
 
-    /// Pins the shutdown ordering (DESIGN.md §10 lists the join sites):
-    /// `shutdown()` must take every worker `tx` *before* joining the worker
-    /// threads (and only then join the ack collector, whose channel closes
-    /// when the last worker drops its `ack_tx` clone). Joining first would
-    /// deadlock with workers blocked in `recv()`; the watchdog turns that
-    /// hang into a failure.
+    /// Runs `f` on a thread and fails, rather than hangs, if it has not
+    /// returned within 30 s.
+    fn within_30s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let worker = std::thread::spawn(f);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !worker.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "{what} hung");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        worker.join().unwrap()
+    }
+
+    /// Pins the drain: `close` returns only once every replica add it sent
+    /// has been answered, not merely once each entry reached its quorum —
+    /// so after it, every replica holds every entry.
     #[test]
-    fn close_with_inflight_appends_releases_senders_before_join() {
-        let (_c, _p, mgr) = setup(3);
+    fn close_with_inflight_appends_drains_every_replica_add() {
+        let (bookies, mgr) = concrete_setup(3);
         let writer = mgr.create(ReplicationConfig::default(), 1).unwrap();
+        let id = writer.metadata().id;
         let pending: Vec<_> = (0..64u64)
             .map(|i| writer.append(Bytes::from(format!("inflight-{i}"))))
             .collect();
-        let closer = std::thread::spawn(move || writer.close());
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !closer.is_finished() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "LedgerWriter::close deadlocked: joined workers before releasing their senders"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(5));
+        assert_eq!(
+            within_30s("LedgerWriter::close", move || writer.close()),
+            Some(63)
+        );
+        for p in pending {
+            assert!(matches!(p.wait(), Ok(Ok(_))));
         }
-        // In-flight appends were waited for, so every entry confirmed.
-        assert_eq!(closer.join().unwrap(), Some(63));
+        for b in &bookies {
+            assert_eq!(b.entry_ids(id), (0..64).collect::<Vec<_>>());
+        }
+    }
+
+    /// With adds completed by the journal thread, one ledger's outstanding
+    /// appends share a journal sync instead of reaching each bookie one at
+    /// a time.
+    #[test]
+    fn group_commit_engages_on_one_ledger() {
+        let config = JournalConfig {
+            simulated_sync_latency: std::time::Duration::from_micros(250),
+            ..JournalConfig::default()
+        };
+        let (bookies, mgr) = concrete_setup_with(3, config);
+        let writer = mgr.create(ReplicationConfig::default(), 1).unwrap();
+        let entry = Bytes::from(vec![7u8; 8192]);
+        let mut window = std::collections::VecDeque::new();
+        for _ in 0..1024 {
+            if window.len() == 64 {
+                assert!(matches!(
+                    window.pop_front().map(|p: Promise<_>| p.wait()),
+                    Some(Ok(Ok(_)))
+                ));
+            }
+            window.push_back(writer.append(entry.clone()));
+        }
+        for p in window {
+            assert!(matches!(p.wait(), Ok(Ok(_))));
+        }
+        let (records, groups) = bookies.iter().fold((0, 0), |(r, g), b| {
+            let sizes = b.journal_group_sizes();
+            (r + sizes.sum(), g + sizes.count())
+        });
+        let mean = records as f64 / groups as f64;
+        assert!(
+            mean >= 4.0,
+            "mean journal group {mean:.2} over {groups} syncs"
+        );
+    }
+
+    /// A replica whose journal dies answers its outstanding adds
+    /// `Unavailable`; the quorum confirms without it and `close` returns.
+    #[test]
+    fn close_returns_when_a_replica_journal_stops() {
+        let (gate, _, sink) = crate::journal::test_sinks::gated(true);
+        let dying =
+            JournalBookie::with_sink("b0", sink, JournalConfig::default(), BTreeMap::new(), None)
+                .unwrap();
+        let mut members: Vec<Arc<dyn Bookie>> = vec![Arc::new(dying)];
+        members.extend(mem_bookies(2, JournalConfig::default()).unwrap());
+        let pool = BookiePool::new(members);
+        let mgr = LedgerManager::new(&CoordinationService::new(), &pool);
+        let writer = mgr.create(ReplicationConfig::default(), 1).unwrap();
+        let pending: Vec<_> = (0..64u64)
+            .map(|i| writer.append(Bytes::from(format!("e{i}"))))
+            .collect();
+        let closer = std::thread::spawn(move || writer.close());
+        drop(gate);
+        assert_eq!(
+            within_30s("LedgerWriter::close", move || closer.join().unwrap()),
+            Some(63)
+        );
         for p in pending {
             assert!(matches!(p.wait(), Ok(Ok(_))));
         }
@@ -900,17 +907,7 @@ mod tests {
 
     #[test]
     fn survives_one_bookie_failure_with_ack_quorum_two() {
-        let bookies: Vec<Arc<MemBookie>> = (0..3)
-            .map(|i| Arc::new(MemBookie::new(&format!("b{i}"), JournalConfig::default()).unwrap()))
-            .collect();
-        let pool = BookiePool::new(
-            bookies
-                .iter()
-                .map(|b| b.clone() as Arc<dyn Bookie>)
-                .collect(),
-        );
-        let coord = CoordinationService::new();
-        let mgr = LedgerManager::new(&coord, &pool);
+        let (bookies, mgr) = concrete_setup(3);
         let writer = mgr.create(ReplicationConfig::default(), 1).unwrap();
         writer
             .append(Bytes::from_static(b"before"))
@@ -925,17 +922,7 @@ mod tests {
 
     #[test]
     fn loses_quorum_with_two_failures() {
-        let bookies: Vec<Arc<MemBookie>> = (0..3)
-            .map(|i| Arc::new(MemBookie::new(&format!("b{i}"), JournalConfig::default()).unwrap()))
-            .collect();
-        let pool = BookiePool::new(
-            bookies
-                .iter()
-                .map(|b| b.clone() as Arc<dyn Bookie>)
-                .collect(),
-        );
-        let coord = CoordinationService::new();
-        let mgr = LedgerManager::new(&coord, &pool);
+        let (bookies, mgr) = concrete_setup(3);
         let writer = mgr.create(ReplicationConfig::default(), 1).unwrap();
         bookies[1].set_available(false);
         bookies[2].set_available(false);
@@ -1093,9 +1080,12 @@ mod tests {
         assert_eq!(meta.stripe_indices(2), vec![2, 0]);
     }
 
-    fn concrete_setup(n: usize) -> (Vec<Arc<MemBookie>>, LedgerManager) {
-        let bookies: Vec<Arc<MemBookie>> = (0..n)
-            .map(|i| Arc::new(MemBookie::new(&format!("b{i}"), JournalConfig::default()).unwrap()))
+    fn concrete_setup_with(
+        n: usize,
+        config: JournalConfig,
+    ) -> (Vec<Arc<JournalBookie>>, LedgerManager) {
+        let bookies: Vec<Arc<JournalBookie>> = (0..n)
+            .map(|i| Arc::new(JournalBookie::new(&format!("b{i}"), config.clone()).unwrap()))
             .collect();
         let pool = BookiePool::new(
             bookies
@@ -1106,6 +1096,10 @@ mod tests {
         let coord = CoordinationService::new();
         let mgr = LedgerManager::new(&coord, &pool);
         (bookies, mgr)
+    }
+
+    fn concrete_setup(n: usize) -> (Vec<Arc<JournalBookie>>, LedgerManager) {
+        concrete_setup_with(n, JournalConfig::default())
     }
 
     #[test]
@@ -1197,6 +1191,13 @@ mod tests {
             .unwrap()
             .unwrap();
         let id = writer.metadata().id;
+        // The append confirmed at the 2-of-3 quorum; wait for the straggler
+        // replica so the flip below has stored bytes to rot.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while bookies[0].raw_entry(id, 0).is_none() {
+            assert!(std::time::Instant::now() < deadline, "replica never stored");
+            std::thread::yield_now();
+        }
         assert!(bookies[0].flip_entry_bit(id, 0, 8, 0x01));
         let closed = mgr.recover_and_close(id, 2).unwrap();
         assert_eq!(

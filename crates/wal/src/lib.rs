@@ -8,13 +8,18 @@
 //! - [`journal`] — each bookie journals appends with **group commit**: many
 //!   concurrent appends are persisted with a single device sync. This is the
 //!   *third* level of batching in Pravega's write path (client append blocks,
-//!   container data frames, bookie journal).
+//!   container data frames, bookie journal). The journal thread also
+//!   completes each add after its group's sync, so an add never waits on a
+//!   thread of its own and one ledger's adds group as freely as many
+//!   ledgers'.
 //! - [`bookie`] — the storage server: stores ledger entries, enforces
 //!   **fencing** (an epoch token that lets a new ledger owner lock out a
 //!   zombie writer, the mechanism behind §4.4's exclusive WAL access).
 //! - [`ledger`] — replicated append-only logs: entries are striped across an
 //!   ensemble of bookies, acknowledged once `ack_quorum` bookies confirm,
-//!   and recovered by fencing + forward scan.
+//!   and recovered by fencing + forward scan. A writer owns no threads: it
+//!   hands each entry straight to its replicas, and their journal threads
+//!   run its in-order acknowledgement.
 //! - [`log`] — the [`log::DurableDataLog`] abstraction the
 //!   segment container writes to: a sequence of rolling ledgers with
 //!   truncation (deleting whole ledgers once their data reaches LTS).
@@ -22,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use pravega_wal::bookie::MemBookie;
+//! use pravega_wal::bookie::JournalBookie;
 //! use pravega_wal::journal::JournalConfig;
 //! use pravega_wal::ledger::{BookiePool, ReplicationConfig};
 //! use pravega_wal::log::{BookkeeperLog, DurableDataLog, LogConfig};
@@ -31,7 +36,7 @@
 //! use std::sync::Arc;
 //!
 //! let pool = BookiePool::new(
-//!     (0..3).map(|i| Arc::new(MemBookie::new(&format!("bookie-{i}"), JournalConfig::default()).unwrap()) as _).collect(),
+//!     (0..3).map(|i| Arc::new(JournalBookie::new(&format!("bookie-{i}"), JournalConfig::default()).unwrap()) as _).collect(),
 //! );
 //! let coord = CoordinationService::new();
 //! let log = BookkeeperLog::open("container-0", &pool, &coord, LogConfig::default()).unwrap();
@@ -46,7 +51,7 @@ pub mod journal;
 pub mod ledger;
 pub mod log;
 
-pub use bookie::{decode_entry_envelope, encode_entry_envelope, Bookie, FileBookie, MemBookie};
+pub use bookie::{decode_entry_envelope, encode_entry_envelope, Ack, Bookie, JournalBookie};
 pub use error::{BookieError, WalError};
 pub use journal::JournalConfig;
 pub use ledger::{BookiePool, LedgerId, LedgerManager, LedgerScrubReport, ReplicationConfig};

@@ -297,7 +297,7 @@ impl BookkeeperLog {
     }
 
     /// Seals `old` and creates its successor. Runs with **no lock held**:
-    /// closing a ledger joins its writer threads and both the close and the
+    /// closing a ledger drains its in-flight adds and both the close and the
     /// create round-trip to the bookies.
     fn swap_ledger_unlocked(
         &self,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use pravega_coordination::CoordinationService;
-use pravega_wal::bookie::{Bookie, MemBookie};
+use pravega_wal::bookie::{Bookie, JournalBookie};
 use pravega_wal::error::{BookieError, WalError};
 use pravega_wal::journal::JournalConfig;
 use pravega_wal::ledger::{BookiePool, LedgerManager, ReplicationConfig};
@@ -25,8 +25,8 @@ proptest! {
         bit_pick in any::<u32>(),
         corrupt_all in any::<bool>(),
     ) {
-        let bookies: Vec<Arc<MemBookie>> = (0..3)
-            .map(|i| Arc::new(MemBookie::new(&format!("b{i}"), JournalConfig::default()).unwrap()))
+        let bookies: Vec<Arc<JournalBookie>> = (0..3)
+            .map(|i| Arc::new(JournalBookie::new(&format!("b{i}"), JournalConfig::default()).unwrap()))
             .collect();
         let pool = BookiePool::new(
             bookies.iter().map(|b| b.clone() as Arc<dyn Bookie>).collect(),

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use pravega_coordination::CoordinationService;
-use pravega_wal::bookie::{Bookie, MemBookie};
+use pravega_wal::bookie::{Bookie, JournalBookie};
 use pravega_wal::error::WalError;
 use pravega_wal::journal::JournalConfig;
 use pravega_wal::ledger::{
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 const WRITER_TOKEN: u64 = 1;
 
 struct Fixture {
-    bookies: Vec<Arc<MemBookie>>,
+    bookies: Vec<Arc<JournalBookie>>,
     mgr: LedgerManager,
     writer: LedgerWriter,
 }
@@ -34,8 +34,8 @@ struct Fixture {
 /// `tail-{i}`) durable on `tail_bookie` only — the state an abrupt crash
 /// leaves when the writer died before the tail reached its ack quorum.
 fn fixture(n_acked: usize, tail_len: usize, tail_bookie: usize) -> Fixture {
-    let bookies: Vec<Arc<MemBookie>> = (0..3)
-        .map(|i| Arc::new(MemBookie::new(&format!("b{i}"), JournalConfig::default()).unwrap()))
+    let bookies: Vec<Arc<JournalBookie>> = (0..3)
+        .map(|i| Arc::new(JournalBookie::new(&format!("b{i}"), JournalConfig::default()).unwrap()))
         .collect();
     let pool = BookiePool::new(
         bookies
