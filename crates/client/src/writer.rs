@@ -25,11 +25,11 @@
 //! reconnects takes a new channel; a connection that closed is dialled again
 //! by the first segment to find it closed.
 
+use pravega_sync::JoinHandle;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -216,10 +216,7 @@ impl<T, S: Serializer<T>> EventStreamWriter<T, S> {
             drained: Wakeup::default(),
         });
         let pump_shared = shared.clone();
-        let pump = match std::thread::Builder::new()
-            .name("writer-pump".into())
-            .spawn(move || pump_loop(pump_shared))
-        {
+        let pump = match pravega_sync::spawn("writer-pump", move || pump_loop(pump_shared)) {
             Ok(handle) => Some(handle),
             Err(e) => {
                 // No pump thread means nothing will ever flush: fail the

@@ -74,6 +74,7 @@ impl<T> Promise<T> {
     ///
     /// Returns [`BrokenPromise`] if the completer was dropped first.
     pub fn wait(self) -> Result<T, BrokenPromise> {
+        pravega_sync::blocking("Promise::wait");
         self.rx.recv().map_err(|_| BrokenPromise)
     }
 
@@ -84,6 +85,7 @@ impl<T> Promise<T> {
     /// Returns [`WaitError::Timeout`] on deadline, [`WaitError::Broken`] if
     /// the completer was dropped.
     pub fn wait_for(self, timeout: Duration) -> Result<T, WaitError> {
+        pravega_sync::blocking("Promise::wait_for");
         match self.rx.recv_timeout(timeout) {
             Ok(v) => Ok(v),
             Err(RecvTimeoutError::Timeout) => Err(WaitError::Timeout),

@@ -158,6 +158,9 @@ impl RetryPolicy {
     {
         let mut rng = rand::rngs::StdRng::seed_from_u64(rand::random());
         let attempts = self.max_attempts.max(1);
+        if attempts > 1 {
+            pravega_sync::blocking("RetryPolicy::run backoff");
+        }
         let mut attempt = 0;
         loop {
             match op() {

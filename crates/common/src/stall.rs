@@ -137,6 +137,7 @@ impl StallTracker {
 )]
 pub fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
     const SLICE: Duration = Duration::from_millis(10);
+    pravega_sync::blocking("sleep_interruptible");
     let deadline = clock::monotonic_now() + total;
     while !stop.load(Ordering::Acquire) {
         let now = clock::monotonic_now();

@@ -63,10 +63,7 @@ pub use crate::wire::SEND_QUEUE_DEPTH;
 const READ_BUF_BYTES: usize = 64 * 1024;
 
 fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
-    std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(f)
-        .map(|_| ())
+    pravega_sync::spawn(name, f).map(|_| ())
 }
 
 /// Drains `rx`, encodes each message with `encode`, and writes frames to
@@ -87,10 +84,12 @@ fn write_pump<T>(stream: TcpStream, rx: Receiver<T>, encode: impl Fn(&T, &mut By
                 Err(_) => break,
             }
         }
+        pravega_sync::blocking("socket write");
         if stream.write_all(out.as_slice()).is_err() {
             break;
         }
     }
+    pravega_sync::blocking("socket shutdown");
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -125,6 +124,7 @@ fn read_pump<T>(
             }
         }
     }
+    pravega_sync::blocking("socket shutdown");
     let _ = stream.shutdown(Shutdown::Both);
 }
 

@@ -541,6 +541,7 @@ impl Connection {
     ///
     /// Returns [`ConnectionClosed`] if the server end was dropped.
     pub fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
+        pravega_sync::blocking("Connection::recv");
         self.transport().recv()
     }
 
@@ -553,6 +554,7 @@ impl Connection {
         &self,
         timeout: std::time::Duration,
     ) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
+        pravega_sync::blocking("Connection::recv_timeout");
         self.transport().recv_timeout(timeout)
     }
 
@@ -620,6 +622,7 @@ impl ServerEnd {
     ///
     /// Returns [`ConnectionClosed`] if the client end was dropped.
     pub fn recv(&self) -> Result<RequestEnvelope, ConnectionClosed> {
+        pravega_sync::blocking("ServerEnd::recv");
         self.inner.recv()
     }
 

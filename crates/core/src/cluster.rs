@@ -172,17 +172,21 @@ impl ClusterMetrics {
 
     /// Point-in-time view of every instrument in the cluster, including the
     /// WAL journals' group-commit histograms merged across bookies
-    /// (`wal.journal.group_commit_entries`) and the total journal sync count
-    /// (`wal.journal.syncs`).
+    /// (`wal.journal.group_commit_entries`), the total journal sync count
+    /// (`wal.journal.syncs`) and the journal threads that died
+    /// (`wal.journal.thread_deaths`).
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = self.registry.snapshot();
         let merged = Histogram::new();
-        let mut syncs = 0u64;
+        let (mut syncs, mut deaths) = (0u64, 0u64);
         for bookie in &self.bookies {
             merged.merge_from(&bookie.journal_group_sizes());
             syncs += bookie.journal_syncs();
+            deaths += bookie.journal_thread_deaths();
         }
         snap.counters.push(("wal.journal.syncs".to_string(), syncs));
+        snap.counters
+            .push(("wal.journal.thread_deaths".to_string(), deaths));
         snap.counters.sort();
         snap.histograms.push((
             "wal.journal.group_commit_entries".to_string(),

@@ -18,6 +18,9 @@ use pravega_sync::{rank, Mutex};
 use crate::error::LtsError;
 
 /// Abstract chunk storage: the minimal contract LTS backends implement.
+///
+/// Every call is I/O and may block, so each backend's methods open with
+/// [`pravega_sync::blocking`]: no caller may hold a lock across one.
 pub trait ChunkStorage: Send + Sync + std::fmt::Debug {
     /// Creates an empty chunk.
     ///
@@ -150,6 +153,7 @@ impl InMemoryChunkStorage {
 
 impl ChunkStorage for InMemoryChunkStorage {
     fn create(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::create");
         let mut chunks = self.chunks.lock();
         if chunks.contains_key(name) {
             return Err(LtsError::ChunkExists);
@@ -159,6 +163,7 @@ impl ChunkStorage for InMemoryChunkStorage {
     }
 
     fn write(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::write");
         let mut chunks = self.chunks.lock();
         let chunk = chunks.get_mut(name).ok_or(LtsError::NoSuchChunk)?;
         if chunk.sealed {
@@ -175,6 +180,7 @@ impl ChunkStorage for InMemoryChunkStorage {
     }
 
     fn read(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, LtsError> {
+        pravega_sync::blocking("ChunkStorage::read");
         let chunks = self.chunks.lock();
         let chunk = chunks.get(name).ok_or(LtsError::NoSuchChunk)?;
         if offset > chunk.data.len() as u64 {
@@ -188,6 +194,7 @@ impl ChunkStorage for InMemoryChunkStorage {
     }
 
     fn length(&self, name: &str) -> Result<u64, LtsError> {
+        pravega_sync::blocking("ChunkStorage::length");
         let chunks = self.chunks.lock();
         chunks
             .get(name)
@@ -196,6 +203,7 @@ impl ChunkStorage for InMemoryChunkStorage {
     }
 
     fn seal(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::seal");
         let mut chunks = self.chunks.lock();
         chunks
             .get_mut(name)
@@ -204,15 +212,18 @@ impl ChunkStorage for InMemoryChunkStorage {
     }
 
     fn delete(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::delete");
         let mut chunks = self.chunks.lock();
         chunks.remove(name).map(|_| ()).ok_or(LtsError::NoSuchChunk)
     }
 
     fn exists(&self, name: &str) -> bool {
+        pravega_sync::blocking("ChunkStorage::exists");
         self.chunks.lock().contains_key(name)
     }
 
     fn truncate(&self, name: &str, len: u64) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::truncate");
         let mut chunks = self.chunks.lock();
         let chunk = chunks.get_mut(name).ok_or(LtsError::NoSuchChunk)?;
         if chunk.sealed {
@@ -263,6 +274,7 @@ impl FileChunkStorage {
 
 impl ChunkStorage for FileChunkStorage {
     fn create(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::create");
         let path = self.path(name);
         if path.exists() {
             return Err(LtsError::ChunkExists);
@@ -272,6 +284,7 @@ impl ChunkStorage for FileChunkStorage {
     }
 
     fn write(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::write");
         if *self.sealed.lock().get(name).unwrap_or(&false) {
             return Err(LtsError::Sealed);
         }
@@ -300,6 +313,7 @@ impl ChunkStorage for FileChunkStorage {
     }
 
     fn read(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, LtsError> {
+        pravega_sync::blocking("ChunkStorage::read");
         let path = self.path(name);
         if !path.exists() {
             return Err(LtsError::NoSuchChunk);
@@ -322,6 +336,7 @@ impl ChunkStorage for FileChunkStorage {
     }
 
     fn length(&self, name: &str) -> Result<u64, LtsError> {
+        pravega_sync::blocking("ChunkStorage::length");
         let path = self.path(name);
         std::fs::metadata(&path)
             .map(|m| m.len())
@@ -329,6 +344,7 @@ impl ChunkStorage for FileChunkStorage {
     }
 
     fn seal(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::seal");
         if !self.exists(name) {
             return Err(LtsError::NoSuchChunk);
         }
@@ -337,6 +353,7 @@ impl ChunkStorage for FileChunkStorage {
     }
 
     fn delete(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::delete");
         let path = self.path(name);
         std::fs::remove_file(&path).map_err(|_| LtsError::NoSuchChunk)?;
         self.sealed.lock().remove(name);
@@ -344,10 +361,12 @@ impl ChunkStorage for FileChunkStorage {
     }
 
     fn exists(&self, name: &str) -> bool {
+        pravega_sync::blocking("ChunkStorage::exists");
         self.path(name).exists()
     }
 
     fn truncate(&self, name: &str, len: u64) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::truncate");
         if *self.sealed.lock().get(name).unwrap_or(&false) {
             return Err(LtsError::Sealed);
         }
@@ -421,6 +440,7 @@ impl<S: ChunkStorage> ThrottledChunkStorage<S> {
         reason = "bandwidth/latency throttle model: the sleep is the simulated device"
     )]
     fn charge(&self, bytes: usize) {
+        pravega_sync::blocking("ChunkStorage throttle");
         let cost =
             Duration::from_secs_f64(bytes as f64 / self.model.bandwidth_bytes_per_sec as f64);
         let wake = {
@@ -501,6 +521,7 @@ impl NoOpChunkStorage {
 
 impl ChunkStorage for NoOpChunkStorage {
     fn create(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::create");
         let mut lengths = self.lengths.lock();
         if lengths.contains_key(name) {
             return Err(LtsError::ChunkExists);
@@ -510,6 +531,7 @@ impl ChunkStorage for NoOpChunkStorage {
     }
 
     fn write(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::write");
         let mut lengths = self.lengths.lock();
         let (len, sealed) = lengths.get_mut(name).ok_or(LtsError::NoSuchChunk)?;
         if *sealed {
@@ -526,6 +548,7 @@ impl ChunkStorage for NoOpChunkStorage {
     }
 
     fn read(&self, name: &str, offset: u64, len: usize) -> Result<Bytes, LtsError> {
+        pravega_sync::blocking("ChunkStorage::read");
         let lengths = self.lengths.lock();
         let (total, _) = lengths.get(name).ok_or(LtsError::NoSuchChunk)?;
         if offset > *total {
@@ -536,6 +559,7 @@ impl ChunkStorage for NoOpChunkStorage {
     }
 
     fn length(&self, name: &str) -> Result<u64, LtsError> {
+        pravega_sync::blocking("ChunkStorage::length");
         self.lengths
             .lock()
             .get(name)
@@ -544,6 +568,7 @@ impl ChunkStorage for NoOpChunkStorage {
     }
 
     fn seal(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::seal");
         self.lengths
             .lock()
             .get_mut(name)
@@ -552,6 +577,7 @@ impl ChunkStorage for NoOpChunkStorage {
     }
 
     fn delete(&self, name: &str) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::delete");
         self.lengths
             .lock()
             .remove(name)
@@ -560,10 +586,12 @@ impl ChunkStorage for NoOpChunkStorage {
     }
 
     fn exists(&self, name: &str) -> bool {
+        pravega_sync::blocking("ChunkStorage::exists");
         self.lengths.lock().contains_key(name)
     }
 
     fn truncate(&self, name: &str, len: u64) -> Result<(), LtsError> {
+        pravega_sync::blocking("ChunkStorage::truncate");
         let mut lengths = self.lengths.lock();
         let (total, sealed) = lengths.get_mut(name).ok_or(LtsError::NoSuchChunk)?;
         if *sealed {

@@ -13,9 +13,9 @@
 //! healthy copy exists. Chunks with no healthy copy stay quarantined —
 //! readers get a typed error, never garbage.
 
+use pravega_sync::JoinHandle;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pravega_common::clock::{Clock, SystemClock};
@@ -203,17 +203,14 @@ impl Scrubber {
     pub fn start(self) -> Result<ScrubberHandle, LtsError> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_thread = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("lts-scrubber".into())
-            .spawn(move || {
-                let mut bucket =
-                    TokenBucket::new(self.config.bytes_per_sec, self.config.burst_bytes);
-                while !stop_thread.load(Ordering::Acquire) {
-                    let _ = self.pass(Some(&mut bucket), &stop_thread);
-                    sleep_interruptible(self.config.pass_interval, &stop_thread);
-                }
-            })
-            .map_err(|e| LtsError::Io(format!("spawn lts-scrubber: {e}")))?;
+        let thread = pravega_sync::spawn("lts-scrubber", move || {
+            let mut bucket = TokenBucket::new(self.config.bytes_per_sec, self.config.burst_bytes);
+            while !stop_thread.load(Ordering::Acquire) {
+                let _ = self.pass(Some(&mut bucket), &stop_thread);
+                sleep_interruptible(self.config.pass_interval, &stop_thread);
+            }
+        })
+        .map_err(|e| LtsError::Io(format!("spawn lts-scrubber: {e}")))?;
         Ok(ScrubberHandle {
             stop,
             thread: Some(thread),

@@ -24,10 +24,10 @@
 //! applies and §4.2 serves), `readpath` (§4.2), `storagewriter` + `throttle`
 //! (§4.3) and `recovery` (§4.4). Lock order is **processor before core**.
 
+use pravega_sync::JoinHandle;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;

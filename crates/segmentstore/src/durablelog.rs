@@ -13,10 +13,10 @@
 //! segment — the bookkeeping that lets the storage writer truncate the WAL
 //! once data reaches LTS without ever dropping an unflushed byte (§4.3).
 
+use pravega_sync::JoinHandle;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -197,19 +197,30 @@ impl DurableLog {
             truncate_nanos: metrics.histogram("segmentstore.durablelog.truncate_nanos"),
         });
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "producers enqueue under DURABLE_LOG_TX, which the commit applier needs to \
+                      drain: a bounded queue would block the request path inside that lock; \
+                      depth is capped by the container's writer throttle (§4)"
+        )]
         let (op_tx, op_rx) = unbounded::<EnqueuedOp>();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the builder hands frames to the committer while the request path holds \
+                      DURABLE_LOG_TX; depth is capped by the writer throttle, like the op queue"
+        )]
         let (commit_tx, commit_rx) = unbounded::<CommitBatch>();
 
         let builder_shared = shared.clone();
-        let builder_handle = std::thread::Builder::new()
-            .name("durablelog-builder".into())
-            .spawn(move || builder_loop(op_rx, commit_tx, builder_shared, config))
-            .map_err(|e| SegmentError::Internal(format!("spawn frame builder: {e}")))?;
+        let builder_handle = pravega_sync::spawn("durablelog-builder", move || {
+            builder_loop(op_rx, commit_tx, builder_shared, config)
+        })
+        .map_err(|e| SegmentError::Internal(format!("spawn frame builder: {e}")))?;
 
         let commit_shared = shared.clone();
-        let commit_handle = std::thread::Builder::new()
-            .name("durablelog-commit".into())
-            .spawn(move || commit_loop(commit_rx, commit_shared, sink));
+        let commit_handle = pravega_sync::spawn("durablelog-commit", move || {
+            commit_loop(commit_rx, commit_shared, sink)
+        });
         let commit_handle = match commit_handle {
             Ok(handle) => handle,
             Err(e) => {
@@ -640,7 +651,7 @@ mod tests {
     struct FixedAckLog {
         inner: InMemoryLog,
         acks: Option<Sender<(Instant, Completer<Result<u64, WalError>>, u64)>>,
-        acker: Option<JoinHandle<()>>,
+        acker: Option<std::thread::JoinHandle<()>>,
         /// When each append was submitted, in order.
         submitted: Mutex<Vec<Instant>>,
     }

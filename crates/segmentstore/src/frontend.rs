@@ -82,10 +82,10 @@ impl TcpFrontend {
             connections_active: metrics.gauge("segmentstore.frontend.connections_active"),
         });
         let accept_fe = frontend.clone();
-        std::thread::Builder::new()
-            .name(format!("frontend-{}", store.host_id()))
-            .spawn(move || accept_loop(listener, store, accept_fe))
-            .map_err(|e| SegmentError::Internal(format!("spawn frontend accept: {e}")))?;
+        pravega_sync::spawn(format!("frontend-{}", store.host_id()), move || {
+            accept_loop(listener, store, accept_fe)
+        })
+        .map_err(|e| SegmentError::Internal(format!("spawn frontend accept: {e}")))?;
         Ok(frontend)
     }
 
@@ -107,6 +107,7 @@ impl TcpFrontend {
         };
         let mut killed = 0;
         for sock in &socks {
+            pravega_sync::blocking("socket shutdown");
             if sock.shutdown(Shutdown::Both).is_ok() {
                 killed += 1;
             }
@@ -158,6 +159,7 @@ fn accept_loop(listener: TcpListener, store: Arc<SegmentStore>, frontend: Arc<Tc
         let registered = match sock.try_clone() {
             Ok(clone) => clone,
             Err(_) => {
+                pravega_sync::blocking("socket shutdown");
                 let _ = sock.shutdown(Shutdown::Both);
                 continue;
             }
@@ -165,6 +167,7 @@ fn accept_loop(listener: TcpListener, store: Arc<SegmentStore>, frontend: Arc<Tc
         let server = match serve_stream(sock) {
             Ok(server) => server,
             Err(_) => {
+                pravega_sync::blocking("socket shutdown");
                 let _ = registered.shutdown(Shutdown::Both);
                 continue;
             }
@@ -172,12 +175,10 @@ fn accept_loop(listener: TcpListener, store: Arc<SegmentStore>, frontend: Arc<Tc
         let id = frontend.register(registered);
         let conn_store = store.clone();
         let conn_fe = frontend.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("tcpconn-{}", store.host_id()))
-            .spawn(move || {
-                connection_loop(conn_store, server);
-                conn_fe.deregister(id);
-            });
+        let spawned = pravega_sync::spawn(format!("tcpconn-{}", store.host_id()), move || {
+            connection_loop(conn_store, server);
+            conn_fe.deregister(id);
+        });
         if spawned.is_err() {
             // Could not serve it; drop the socket so the client fails fast.
             frontend.deregister(id);

@@ -19,11 +19,11 @@
 //!   test hook [`flush_pass`] checkpoints itself instead of signalling, so
 //!   tests observe truncation synchronously.
 
+use pravega_sync::JoinHandle;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pravega_common::clock;
@@ -62,29 +62,27 @@ pub(crate) fn flush_pacer(config: &ContainerConfig) -> Result<TokenBucket, Segme
 /// Starts the background flusher thread for a container.
 pub(crate) fn start_flusher(inner: Arc<ContainerInner>) -> Result<JoinHandle<()>, SegmentError> {
     let mut pacer = flush_pacer(&inner.config)?;
-    std::thread::Builder::new()
-        .name(format!("storage-writer-{}", inner.id))
-        .spawn(move || {
-            // Sliced sleep so a stopping container joins its flusher
-            // promptly even under a long flush interval. It comes first: the
-            // first pass runs one interval after start, not at it.
-            while !sleep_then_stopped(&inner) {
-                let (result, truncate_due) = run_flush_pass(&inner, Some(&mut pacer));
-                if truncate_due {
-                    // The truncator thread picks the signal up within one
-                    // interval.
-                    inner.truncate_pending.store(true, Ordering::Release);
-                }
-                if let Err(e) = result {
-                    // A failed pass is not fatal — the backlog stays and
-                    // throttling takes over — but it must not be silent:
-                    // record it so a stuck tiering path is observable.
-                    inner.metrics.flush_errors.inc();
-                    inner.metrics.last_flush_error.set(e.to_string());
-                }
+    pravega_sync::spawn(format!("storage-writer-{}", inner.id), move || {
+        // Sliced sleep so a stopping container joins its flusher
+        // promptly even under a long flush interval. It comes first: the
+        // first pass runs one interval after start, not at it.
+        while !sleep_then_stopped(&inner) {
+            let (result, truncate_due) = run_flush_pass(&inner, Some(&mut pacer));
+            if truncate_due {
+                // The truncator thread picks the signal up within one
+                // interval.
+                inner.truncate_pending.store(true, Ordering::Release);
             }
-        })
-        .map_err(|e| SegmentError::Internal(format!("spawn storage writer: {e}")))
+            if let Err(e) = result {
+                // A failed pass is not fatal — the backlog stays and
+                // throttling takes over — but it must not be silent:
+                // record it so a stuck tiering path is observable.
+                inner.metrics.flush_errors.inc();
+                inner.metrics.last_flush_error.set(e.to_string());
+            }
+        }
+    })
+    .map_err(|e| SegmentError::Internal(format!("spawn storage writer: {e}")))
 }
 
 /// Waits one `flush_interval` (cut short by a stop) and says whether the
@@ -99,19 +97,17 @@ fn sleep_then_stopped(inner: &ContainerInner) -> bool {
 /// flush pass has signalled `truncate_pending` — off the flush path, so a
 /// slow truncate stalls only this thread.
 pub(crate) fn start_truncator(inner: Arc<ContainerInner>) -> Result<JoinHandle<()>, SegmentError> {
-    std::thread::Builder::new()
-        .name(format!("wal-truncator-{}", inner.id))
-        .spawn(move || {
-            while !sleep_then_stopped(&inner) {
-                if inner.truncate_pending.swap(false, Ordering::AcqRel) {
-                    if let Err(e) = checkpoint_and_truncate(&inner) {
-                        inner.metrics.flush_errors.inc();
-                        inner.metrics.last_flush_error.set(e.to_string());
-                    }
+    pravega_sync::spawn(format!("wal-truncator-{}", inner.id), move || {
+        while !sleep_then_stopped(&inner) {
+            if inner.truncate_pending.swap(false, Ordering::AcqRel) {
+                if let Err(e) = checkpoint_and_truncate(&inner) {
+                    inner.metrics.flush_errors.inc();
+                    inner.metrics.last_flush_error.set(e.to_string());
                 }
             }
-        })
-        .map_err(|e| SegmentError::Internal(format!("spawn wal truncator: {e}")))
+        }
+    })
+    .map_err(|e| SegmentError::Internal(format!("spawn wal truncator: {e}")))
 }
 
 /// Retry budget for a single LTS write within a flush pass. The chunked LTS

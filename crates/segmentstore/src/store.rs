@@ -7,9 +7,9 @@
 //! container answers `WrongHost`, prompting the client to re-resolve the
 //! endpoint through the controller.
 
+use pravega_sync::JoinHandle;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Sender};
@@ -203,10 +203,10 @@ impl SegmentStore {
     pub fn connect(self: &Arc<Self>) -> Result<Connection, SegmentError> {
         let (client, server) = connection_pair();
         let store = self.clone();
-        std::thread::Builder::new()
-            .name(format!("conn-{}", self.config.host_id))
-            .spawn(move || connection_loop(store, server))
-            .map_err(|e| SegmentError::Internal(format!("spawn connection handler: {e}")))?;
+        pravega_sync::spawn(format!("conn-{}", self.config.host_id), move || {
+            connection_loop(store, server)
+        })
+        .map_err(|e| SegmentError::Internal(format!("spawn connection handler: {e}")))?;
         Ok(client)
     }
 
@@ -398,22 +398,26 @@ pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
         last_event_number: i64,
         handle: AppendHandle,
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "appends complete on durable-log callback threads that must never block; the \
+                  ack pump drains into the bounded reply queue, where backpressure applies; \
+                  depth is capped by the connection's inflight request window"
+    )]
     let (ack_tx, ack_rx) = unbounded::<AckItem>();
     let ack_server = server.clone();
-    let pump_result = std::thread::Builder::new()
-        .name("conn-ack-pump".into())
-        .spawn(move || {
-            while let Ok(ack) = ack_rx.recv() {
-                let reply = append_reply(ack.handle, ack.writer_id, ack.last_event_number);
-                let request_id = ack.request_id;
-                if ack_server
-                    .send(ReplyEnvelope { request_id, reply })
-                    .is_err()
-                {
-                    break;
-                }
+    let pump_result = pravega_sync::spawn("conn-ack-pump", move || {
+        while let Ok(ack) = ack_rx.recv() {
+            let reply = append_reply(ack.handle, ack.writer_id, ack.last_event_number);
+            let request_id = ack.request_id;
+            if ack_server
+                .send(ReplyEnvelope { request_id, reply })
+                .is_err()
+            {
+                break;
             }
-        });
+        }
+    });
     let Ok(pump) = pump_result else {
         // No ack pump means no append can ever be acknowledged: refuse the
         // connection rather than hang clients.
@@ -581,22 +585,20 @@ fn tail_queue<'a>(
 fn spawn_tail_reader(store: &SegmentStore, server: &ServerEnd) -> std::io::Result<TailReader> {
     let (tail_tx, tail_rx) = bounded::<TailRead>(TAIL_QUEUE_DEPTH);
     let reply_server = server.clone();
-    let handle = std::thread::Builder::new()
-        .name("conn-tail-read".into())
-        .spawn(move || {
-            while let Ok(read) = tail_rx.recv() {
-                let result =
-                    read.container
-                        .read(&read.name, read.offset, read.max_bytes, Some(TAIL_WAIT));
-                let reply = ReplyEnvelope {
-                    request_id: read.request_id,
-                    reply: read_reply(result),
-                };
-                if reply_server.send(reply).is_err() {
-                    break;
-                }
+    let handle = pravega_sync::spawn("conn-tail-read", move || {
+        while let Ok(read) = tail_rx.recv() {
+            let result =
+                read.container
+                    .read(&read.name, read.offset, read.max_bytes, Some(TAIL_WAIT));
+            let reply = ReplyEnvelope {
+                request_id: read.request_id,
+                reply: read_reply(result),
+            };
+            if reply_server.send(reply).is_err() {
+                break;
             }
-        })?;
+        }
+    })?;
     store.tail_read_threads.inc();
     Ok((tail_tx, handle))
 }

@@ -19,6 +19,14 @@
 //! they skip the ordering check but still register the guard so later
 //! blocking acquisitions are checked against it.
 //!
+//! The same tracker checks blocking calls. [`blocking`], called by every
+//! primitive that can park its thread (a promise wait, a channel `recv`, a
+//! sleep, a join, file or socket I/O), panics if the thread holds a lock
+//! whose rank is not marked [`LockRank::may_block`]: a thread parked with a
+//! lock held stalls every other thread that needs the lock. A
+//! [`Condvar`] wait runs the same check over every held lock but its own.
+//! Threads are started with [`spawn`], whose [`JoinHandle::join`] checks.
+//!
 //! Set `PRAVEGA_LOCK_BACKTRACE=1` to capture a full backtrace at every
 //! acquisition, so violation panics can print the held lock's backtrace in
 //! addition to both acquisition sites.
@@ -47,12 +55,29 @@ pub struct LockRank {
     pub order: u16,
     /// Stable name, `<crate>.<component>` style.
     pub name: &'static str,
+    /// Whether a thread may block (wait, sleep, join, do I/O) while holding
+    /// a lock of this rank; see [`blocking`].
+    pub may_block: bool,
 }
 
 impl LockRank {
-    /// Creates a rank. Prefer the constants in [`rank`].
+    /// Creates a rank that must not be held across a blocking call. Prefer
+    /// the constants in [`rank`].
     pub const fn new(order: u16, name: &'static str) -> Self {
-        Self { order, name }
+        Self {
+            order,
+            name,
+            may_block: false,
+        }
+    }
+
+    /// The same rank, allowed to be held across a blocking call. Each use in
+    /// [`rank`] says why the hold is needed.
+    pub const fn may_block(self) -> Self {
+        Self {
+            may_block: true,
+            ..self
+        }
     }
 }
 
@@ -75,6 +100,7 @@ mod tracker {
         token: Token,
         order: u16,
         name: &'static str,
+        may_block: bool,
         location: &'static Location<'static>,
         backtrace: Option<String>,
     }
@@ -132,6 +158,7 @@ mod tracker {
                 token,
                 order: rank.order,
                 name: rank.name,
+                may_block: rank.may_block,
                 location,
                 backtrace: capture_backtraces()
                     .then(|| std::backtrace::Backtrace::force_capture().to_string()),
@@ -153,6 +180,34 @@ mod tracker {
         });
     }
 
+    /// Panics if the current thread holds a lock, other than `except`, whose
+    /// rank is not may-block. Skipped while the thread unwinds, so a drop
+    /// that joins or waits cannot turn one panic into an abort.
+    #[track_caller]
+    pub(crate) fn blocking(what: &str, except: Option<Token>) {
+        let site = Location::caller();
+        if std::thread::panicking() {
+            return;
+        }
+        let offenders = HELD
+            .try_with(|held| {
+                held.borrow()
+                    .iter()
+                    .filter(|h| !h.may_block && Some(h.token) != except)
+                    .map(|h| format!("`{}` (rank {}) acquired at {}", h.name, h.order, h.location))
+                    .collect::<Vec<_>>()
+            })
+            .unwrap_or_default();
+        if !offenders.is_empty() {
+            panic!(
+                "blocking call ({what}) at {site} while holding {}\n\
+                 release the lock before blocking, or mark its rank may-block with a reason; \
+                 see DESIGN.md \"Concurrency discipline\".",
+                offenders.join(", "),
+            );
+        }
+    }
+
     /// Number of locks the current thread holds (test hook).
     pub(crate) fn held_count() -> usize {
         HELD.with(|held| held.borrow().len())
@@ -172,6 +227,9 @@ mod tracker {
     pub(crate) fn released(_token: Token) {}
 
     #[inline(always)]
+    pub(crate) fn blocking(_what: &str, _except: Option<Token>) {}
+
+    #[inline(always)]
     pub(crate) fn held_count() -> usize {
         0
     }
@@ -180,6 +238,63 @@ mod tracker {
 /// Whether the runtime lock-order checker is compiled in.
 pub const fn checker_enabled() -> bool {
     cfg!(any(debug_assertions, feature = "lock-order-check"))
+}
+
+/// Declares that the caller is about to block: wait on another thread, sleep,
+/// join, or do file or socket I/O. Panics (checker builds) if the thread
+/// holds a lock whose rank is not [`LockRank::may_block`], naming each such
+/// lock, where it was acquired, and the blocking call's site. Call it where
+/// a call *can* block, not only where it does, so a path that blocks only
+/// under load is caught by a test that runs it idle. Compiles to nothing in
+/// release builds without the `lock-order-check` feature.
+#[cfg(any(debug_assertions, feature = "lock-order-check"))]
+#[track_caller]
+pub fn blocking(what: &str) {
+    tracker::blocking(what, None);
+}
+
+/// Declares that the caller is about to block; see the checker builds' docs.
+#[cfg(not(any(debug_assertions, feature = "lock-order-check")))]
+#[inline(always)]
+pub fn blocking(_what: &str) {}
+
+/// Spawns a named thread whose [`JoinHandle::join`] is a checked blocking
+/// call. The workspace starts its threads here (clippy bans
+/// `std::thread::Builder::spawn` elsewhere).
+///
+/// # Errors
+///
+/// Returns the OS error if the thread could not be created.
+pub fn spawn<F, T>(name: impl Into<String>, f: F) -> std::io::Result<JoinHandle<T>>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one thread spawn, wrapping the handle so its join is checked"
+    )]
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(f)
+        .map(JoinHandle)
+}
+
+/// Handle of a thread started with [`spawn`].
+#[derive(Debug)]
+pub struct JoinHandle<T>(std::thread::JoinHandle<T>);
+
+impl<T> JoinHandle<T> {
+    /// Waits for the thread to finish; a checked [`blocking`] call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the thread's panic payload if it panicked.
+    #[cfg_attr(any(debug_assertions, feature = "lock-order-check"), track_caller)]
+    pub fn join(self) -> std::thread::Result<T> {
+        blocking("thread join");
+        self.0.join()
+    }
 }
 
 /// Number of facade locks the current thread holds (0 when the checker is
@@ -423,17 +538,23 @@ impl Condvar {
         self.0.notify_all();
     }
 
-    /// Blocks until notified, releasing the mutex while waiting.
+    /// Blocks until notified, releasing the mutex while waiting. A checked
+    /// blocking call over every held lock but `guard`'s (see [`blocking`]).
+    #[cfg_attr(any(debug_assertions, feature = "lock-order-check"), track_caller)]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        tracker::blocking("Condvar::wait", Some(guard.token));
         self.0.wait(&mut guard.inner);
     }
 
-    /// Blocks until notified or `timeout` elapses.
+    /// Blocks until notified or `timeout` elapses; checked like
+    /// [`Condvar::wait`].
+    #[cfg_attr(any(debug_assertions, feature = "lock-order-check"), track_caller)]
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         timeout: std::time::Duration,
     ) -> WaitTimeoutResult {
+        tracker::blocking("Condvar::wait_for", Some(guard.token));
         self.0.wait_for(&mut guard.inner, timeout)
     }
 }
@@ -561,6 +682,107 @@ mod tests {
             pair.1.wait_for(&mut g, std::time::Duration::from_millis(5))
         };
         assert!(timed.timed_out());
+    }
+
+    const BLOCKS: LockRank = LockRank::new(4, "test.may_block").may_block();
+
+    fn panic_message(result: std::thread::Result<()>) -> String {
+        let err = result.expect_err("must panic");
+        err.downcast_ref::<String>().expect("panic message").clone()
+    }
+
+    #[test]
+    fn blocking_with_a_guard_held_names_the_lock_and_both_sites() {
+        let m = Mutex::new(MID, ());
+        let msg = panic_message(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || {
+                let _g = m.lock();
+                blocking("test sleep");
+            },
+        )));
+        assert!(msg.contains("test sleep"), "got: {msg}");
+        assert!(msg.contains("test.mid"), "got: {msg}");
+        // The acquisition and the blocking call, on consecutive lines.
+        let sites: Vec<u32> = msg
+            .split(concat!(file!(), ":"))
+            .skip(1)
+            .filter_map(|rest| rest.split(':').next()?.parse().ok())
+            .collect();
+        assert_eq!(sites.len(), 2, "got: {msg}");
+        assert_eq!(
+            sites[0],
+            sites[1] + 1,
+            "blocking site, then lock site: {msg}"
+        );
+        assert_eq!(held_lock_count(), 0);
+    }
+
+    #[test]
+    fn a_may_block_rank_may_be_held_across_a_blocking_call() {
+        let m = Mutex::new(BLOCKS, ());
+        let _g = m.lock();
+        blocking("test sleep");
+    }
+
+    #[test]
+    fn a_released_guard_does_not_count() {
+        let m = Mutex::new(MID, ());
+        drop(m.lock());
+        blocking("test sleep");
+    }
+
+    #[test]
+    fn a_try_locked_guard_counts_as_held() {
+        let m = Mutex::new(MID, ());
+        let msg = panic_message(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || {
+                let _g = m.try_lock().expect("uncontended");
+                blocking("test sleep");
+            },
+        )));
+        assert!(msg.contains("test.mid"), "got: {msg}");
+    }
+
+    #[test]
+    fn a_condvar_wait_on_its_own_guard_passes() {
+        let m = Mutex::new(MID, ());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        assert!(cv
+            .wait_for(&mut g, std::time::Duration::from_millis(1))
+            .timed_out());
+    }
+
+    #[test]
+    fn a_condvar_wait_with_another_guard_held_panics() {
+        let outer = Mutex::new(LOW, ());
+        let m = Mutex::new(MID, ());
+        let cv = Condvar::new();
+        let msg = panic_message(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || {
+                let _o = outer.lock();
+                let mut g = m.lock();
+                cv.wait_for(&mut g, std::time::Duration::from_millis(1));
+            },
+        )));
+        assert!(msg.contains("Condvar::wait_for"), "got: {msg}");
+        assert!(msg.contains("test.low"), "got: {msg}");
+        assert!(!msg.contains("test.mid"), "its own guard is exempt: {msg}");
+    }
+
+    #[test]
+    fn joining_a_spawned_thread_is_a_blocking_call() {
+        let m = Mutex::new(MID, ());
+        let idle = spawn("test-idle", || 7).expect("spawn");
+        let msg = panic_message(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || {
+                let _g = m.lock();
+                let _ = idle.join();
+            },
+        )));
+        assert!(msg.contains("thread join"), "got: {msg}");
+        let joined = spawn("test-idle", || 7).expect("spawn").join();
+        assert_eq!(joined.expect("no panic"), 7);
     }
 
     #[test]

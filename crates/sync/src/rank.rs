@@ -18,16 +18,28 @@
 //!    and add a constant here — never pass an ad-hoc `LockRank::new` at a
 //!    call site, so this file stays the single source of truth.
 //!
+//! A rank is `.may_block()` only where a test shows a thread holding it
+//! across a blocking call ([`crate::blocking`]) and the hold is needed; the
+//! constant's doc says why.
+//!
 //! The full table is reproduced in DESIGN.md §"Concurrency discipline".
 
 use crate::LockRank;
 
 // ── client band (outermost: the application calls in through here) ──────────
 /// Reader-group membership/state lock; held across state-synchronizer calls
-/// that reach the coordination store.
-pub const CLIENT_READER_GROUP: LockRank = LockRank::new(100, "client.readergroup");
+/// that reach the coordination store. May block: each update is an
+/// optimistic CAS round trip to the store, and the lock serializes only
+/// this process's synchronizer cache; the CAS is the cross-process control.
+/// Control-plane path.
+pub const CLIENT_READER_GROUP: LockRank = LockRank::new(100, "client.readergroup").may_block();
 /// Event writer state; held while routing batches into the segment store.
-pub const CLIENT_WRITER: LockRank = LockRank::new(120, "client.writer");
+/// May block: set-up (the controller RPC and the append handshake), seal
+/// handling and reconnects swap a segment's connection and re-frame its
+/// inflight blocks under it, so `write()` never appends to a connection
+/// about to be replaced; a writer stalled by a reconnect is the intended
+/// backpressure.
+pub const CLIENT_WRITER: LockRank = LockRank::new(120, "client.writer").may_block();
 
 // ── core band (cluster wiring: owns per-host stores and assignments) ────────
 /// Cluster's host → segment-store map.

@@ -1,5 +1,6 @@
 //! Pins the hierarchy table of DESIGN.md §7 to `src/rank.rs`: every rank
-//! constant has a row with its own order, and the table has no other rows.
+//! constant has a row with its own order and may-block flag, and the table
+//! has no other rows.
 
 use std::fs;
 use std::path::Path;
@@ -11,15 +12,22 @@ fn design_doc_rank_table_matches_rank_rs() {
     let design = fs::read_to_string(crate_dir.join("../../DESIGN.md")).unwrap();
 
     // `pub const NAME: LockRank = LockRank::new(N, "…");`, possibly wrapped
-    // after the `=`.
-    let constants: Vec<(&str, &str)> = ranks
+    // after the `=`, possibly ending `.may_block();`.
+    let constants: Vec<(&str, &str, &str)> = ranks
         .split("pub const ")
         .skip(1)
         .filter_map(|item| {
             let (name, rest) = item.split_once(": LockRank")?;
             let (_, args) = rest.split_once("LockRank::new(")?;
-            let (order, _) = args.split_once(',')?;
-            Some((name, order))
+            let (order, rest) = args.split_once(',')?;
+            let (_, tail) = rest.split_once(')')?;
+            let (tail, _) = tail.split_once(';')?;
+            let may_block = if tail.trim() == ".may_block()" {
+                "yes"
+            } else {
+                "no"
+            };
+            Some((name, order, may_block))
         })
         .collect();
     assert!(
@@ -41,8 +49,8 @@ fn design_doc_rank_table_matches_rank_rs() {
                 && l.contains(" | `")
         })
         .collect();
-    for (name, order) in &constants {
-        let row = format!("| {order} | `{name}` |");
+    for (name, order, may_block) in &constants {
+        let row = format!("| {order} | `{name}` | {may_block} |");
         assert!(
             rows.iter().any(|l| l.starts_with(&row)),
             "DESIGN.md §7 has no row `{row}` for rank.rs's {name}"

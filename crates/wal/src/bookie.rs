@@ -343,7 +343,7 @@ impl JournalBookie {
     ) -> Result<Self, BookieError> {
         Ok(Self {
             id: id.to_string(),
-            journal: Journal::start(sink, config)?,
+            journal: Journal::start_for(format!("bookie {id}"), sink, config)?,
             state: Arc::new(Mutex::new(
                 rank::WAL_BOOKIE,
                 BookieState {
@@ -417,6 +417,11 @@ impl JournalBookie {
     /// Number of journal syncs performed (used to verify group commit).
     pub fn journal_syncs(&self) -> u64 {
         self.journal.sync_count.get()
+    }
+
+    /// 1 once this bookie's journal thread has died (a panicking sink).
+    pub fn journal_thread_deaths(&self) -> u64 {
+        self.journal.thread_deaths.get()
     }
 
     /// Histogram of entries per journal sync (the group-commit batch size).
@@ -743,6 +748,7 @@ mod tests {
         // An add sent to the stopped journal is answered the same way.
         assert_eq!(answer(add_then(&b, 16, 0)), Err(BookieError::Unavailable));
         assert!(b.entry_ids(LedgerId(1)).is_empty());
+        assert_eq!(b.journal_thread_deaths(), 1, "the death is counted");
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! [`crate::bookie`]) — so nobody waits on a thread per add, and any number
 //! of one ledger's adds can share a group.
 
+use pravega_sync::JoinHandle;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -87,6 +88,7 @@ impl JournalSink for MemSink {
         reason = "simulated journal fsync latency: models disk time, retries nothing"
     )]
     fn sync(&mut self) -> Result<(), BookieError> {
+        pravega_sync::blocking("MemSink::sync");
         if !self.sync_latency.is_zero() {
             thread::sleep(self.sync_latency);
         }
@@ -118,6 +120,7 @@ impl FileSink {
 
 impl JournalSink for FileSink {
     fn write(&mut self, head: &[u8], body: &[u8]) -> Result<(), BookieError> {
+        pravega_sync::blocking("FileSink::write");
         self.file
             .write_all(head)
             .and_then(|()| self.file.write_all(body))
@@ -125,6 +128,7 @@ impl JournalSink for FileSink {
     }
 
     fn sync(&mut self) -> Result<(), BookieError> {
+        pravega_sync::blocking("FileSink::sync");
         self.file
             .sync_data()
             .map_err(|e| BookieError::Io(e.to_string()))
@@ -243,6 +247,29 @@ pub struct Journal<C: Completion = Completer<Result<(), BookieError>>> {
     pub sync_count: Arc<Counter>,
     /// Histogram of group sizes (records per sync).
     pub group_sizes: Arc<Histogram>,
+    /// 1 once the journal thread has died by a panic (a failing sink); a
+    /// dead journal answers every add `Unavailable`.
+    pub thread_deaths: Arc<Counter>,
+}
+
+/// Lives on the journal thread; on a panic it counts the death and says
+/// which journal died. It is dropped before the thread's queue, so a caller
+/// whose queued add was answered `Unavailable` already sees the count.
+struct DeathWatch {
+    owner: String,
+    deaths: Arc<Counter>,
+}
+
+impl Drop for DeathWatch {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.deaths.inc();
+            eprintln!(
+                "wal.journal: {} lost its journal thread; its adds now answer Unavailable",
+                self.owner
+            );
+        }
+    }
 }
 
 impl<C: Completion> std::fmt::Debug for Journal<C> {
@@ -259,24 +286,42 @@ impl<C: Completion> Journal<C> {
     /// # Errors
     ///
     /// [`BookieError::Io`] if the journal thread cannot be spawned.
-    pub fn start(
+    pub fn start(sink: Box<dyn JournalSink>, config: JournalConfig) -> Result<Self, BookieError> {
+        Self::start_for("a standalone journal".to_string(), sink, config)
+    }
+
+    /// [`Journal::start`] for a journal that says `owner` (say, `bookie b0`)
+    /// lost its thread if the thread dies.
+    pub(crate) fn start_for(
+        owner: String,
         mut sink: Box<dyn JournalSink>,
         config: JournalConfig,
     ) -> Result<Self, BookieError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a ledger writer enqueues each replica's add under its sequencer lock (and \
+                      the log's), and `Bookie::add_entry_then` must never block there; depth is \
+                      capped by the WAL's pending-append accounting above this layer"
+        )]
         let (tx, rx): (Sender<JournalRequest<C>>, Receiver<JournalRequest<C>>) = unbounded();
         let sync_count = Arc::new(Counter::new());
         let group_sizes = Arc::new(Histogram::new());
+        let thread_deaths = Arc::new(Counter::new());
         let syncs = sync_count.clone();
         let sizes = group_sizes.clone();
-        let handle = thread::Builder::new()
-            .name("bookie-journal".into())
-            .spawn(move || journal_commit_loop(&mut *sink, &rx, &config, &syncs, &sizes))
-            .map_err(|e| BookieError::Io(format!("spawn journal thread: {e}")))?;
+        let deaths = thread_deaths.clone();
+        let handle = pravega_sync::spawn("bookie-journal", move || {
+            // A local, so it drops before the captured `rx` and its queue.
+            let _watch = DeathWatch { owner, deaths };
+            journal_commit_loop(&mut *sink, &rx, &config, &syncs, &sizes);
+        })
+        .map_err(|e| BookieError::Io(format!("spawn journal thread: {e}")))?;
         Ok(Self {
             tx: Some(tx),
             handle: Some(handle),
             sync_count,
             group_sizes,
+            thread_deaths,
         })
     }
 
@@ -479,6 +524,7 @@ mod tests {
         for _ in 0..32 {
             pending.push(j.append_async(Bytes::from_static(b"queued")));
         }
+        let deaths = j.thread_deaths.clone();
         let dropper = thread::spawn(move || drop(j));
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while !dropper.is_finished() {
@@ -489,6 +535,7 @@ mod tests {
             thread::sleep(Duration::from_millis(5));
         }
         dropper.join().unwrap();
+        assert_eq!(deaths.get(), 0, "a clean stop is not a death");
         // The queue was drained (not abandoned) before the thread exited.
         for p in pending {
             assert!(matches!(p.wait(), Ok(Ok(()))));

@@ -397,6 +397,7 @@ impl LedgerWriter {
     /// its bookie) when this returns, so each in-flight append has completed
     /// or failed.
     pub fn close(self) -> Option<u64> {
+        pravega_sync::blocking("LedgerWriter::close");
         self.wait_drained();
         self.last_add_confirmed()
     }
