@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! Shared plumbing for the benchmark harness: figure tables, CSV output and
 //! rate-sweep helpers.

@@ -1,5 +1,7 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! Shared foundation types for the Pravega reproduction.
 //!
 //! This crate contains the vocabulary that every other crate in the workspace

@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! The Pravega control plane (§2.2): stream lifecycle, segment-record
 //! metadata (epochs, successors/predecessors), the scale workflow, stream

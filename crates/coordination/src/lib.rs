@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! A ZooKeeper stand-in: the coordination substrate Pravega uses for cluster
 //! management (§2.2).

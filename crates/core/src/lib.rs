@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! The embedded Pravega cluster: wires the coordination service, bookies
 //! (WAL), long-term storage, segment stores, controller, auto-scaler and

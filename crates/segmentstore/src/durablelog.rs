@@ -654,6 +654,9 @@ mod tests {
         acker: Option<std::thread::JoinHandle<()>>,
         /// When each append was submitted, in order.
         submitted: Mutex<Vec<Instant>>,
+        /// How long after its submission an append is acked: `ACK_AFTER`
+        /// unless a test holds one frame in flight for longer.
+        ack_after: Mutex<Duration>,
     }
 
     const ACK_AFTER: Duration = Duration::from_millis(2);
@@ -672,6 +675,7 @@ mod tests {
                 acks: Some(acks),
                 acker: Some(acker),
                 submitted: Mutex::new(rank::TEST_FIXTURE, Vec::new()),
+                ack_after: Mutex::new(rank::TEST_FIXTURE, ACK_AFTER),
             }
         }
 
@@ -692,8 +696,10 @@ mod tests {
     impl DurableDataLog for FixedAckLog {
         fn append(&self, data: Bytes) -> AppendFuture {
             let now = Instant::now();
+            // Read before the submission shows, so a test that waits for it
+            // may then change the ack time for later appends only.
+            let at = now + *self.ack_after.lock();
             self.submitted.lock().push(now);
-            let at = now + ACK_AFTER;
             let stored = match self.inner.append(data).wait() {
                 Ok(addr) => addr,
                 Err(e) => return AppendFuture::failed(e),
@@ -810,6 +816,26 @@ mod tests {
         pr
     }
 
+    /// Enqueues an append the pipeline is set to fail (a fenced WAL, an
+    /// armed crash point) and waits for it to fail. The builder can fail the
+    /// op, and with it the pipeline, before `enqueue` returns; `enqueue`'s
+    /// re-check after its send then answers `ContainerStopped`. Either answer
+    /// is the op failing, and either way the op was queued, so the commit
+    /// loop resolves its promise.
+    fn append_fails(log: &DurableLog, seq: u64) {
+        let (completer, pr) = promise();
+        let queued = log.enqueue(EnqueuedOp {
+            seq,
+            op: append_op(seq),
+            completer: Some(completer),
+        });
+        assert!(
+            matches!(queued, Ok(()) | Err(SegmentError::ContainerStopped)),
+            "{queued:?}"
+        );
+        assert!(pr.wait().unwrap().is_err());
+    }
+
     /// Sparse ops each reach a log with nothing in flight: their frames take
     /// no delay, where the formula alone would hold each one for about one
     /// `RecentLatency` (here `ACK_AFTER`).
@@ -876,16 +902,31 @@ mod tests {
         )
         .unwrap();
         // Teach the log its WAL's latency.
+        // Two trickled ops share a frame when an ack is late, so count the
+        // submissions rather than assume one per op.
         trickle(&log, 10, Duration::from_millis(5));
+        let trickled = wal.submissions().len();
+        // Hold the first op's frame in flight well past any scheduling
+        // stall, so the second op certainly arrives behind it.
+        *wal.ack_after.lock() = Duration::from_millis(200);
         let first = enqueue_append(&log, 10);
-        while wal.submissions().len() < 11 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while wal.submissions().len() <= trickled {
+            assert!(
+                Instant::now() < deadline,
+                "the first op never reached the WAL"
+            );
             std::thread::sleep(Duration::from_micros(50));
         }
+        *wal.ack_after.lock() = ACK_AFTER;
+        let idle_before = metrics
+            .snapshot()
+            .counter("segmentstore.durablelog.idle_frames");
         let enqueued = Instant::now();
         let second = enqueue_append(&log, 11);
         first.wait().unwrap().unwrap();
         second.wait().unwrap().unwrap();
-        let lag = wal.submissions()[11] - enqueued;
+        let lag = wal.submissions()[trickled + 1] - enqueued;
         assert!(
             lag >= ACK_AFTER / 2,
             "an op behind a frame in flight was submitted after {lag:?}, not after the \
@@ -896,9 +937,8 @@ mod tests {
             .snapshot()
             .counter("segmentstore.durablelog.idle_frames");
         assert_eq!(
-            idle,
-            Some(11),
-            "every frame but the last opened on an idle log"
+            idle, idle_before,
+            "the second op's frame opened behind the first's in flight, not on an idle log"
         );
         log.stop();
     }
@@ -931,7 +971,7 @@ mod tests {
         enqueue_append(&log, 0).wait().unwrap().unwrap();
         assert_eq!(log.frames_in_flight(), 0);
         wal.fence();
-        assert!(enqueue_append(&log, 1).wait().unwrap().is_err());
+        append_fails(&log, 1);
         assert_eq!(log.frames_in_flight(), 0, "after a WAL error");
         log.stop();
 
@@ -948,7 +988,7 @@ mod tests {
             &MetricsRegistry::new(),
         )
         .unwrap();
-        assert!(enqueue_append(&log, 0).wait().unwrap().is_err());
+        append_fails(&log, 0);
         assert!(log.is_failed());
         assert_eq!(log.frames_in_flight(), 0, "after the mid-frame crash point");
         log.stop();
@@ -1097,14 +1137,7 @@ mod tests {
         p1.wait().unwrap().unwrap();
         // Fence the WAL: next op must fail.
         wal.fence();
-        let (c2, p2) = promise();
-        log.enqueue(EnqueuedOp {
-            seq: 1,
-            op: append_op(1),
-            completer: Some(c2),
-        })
-        .unwrap();
-        assert!(p2.wait().unwrap().is_err());
+        append_fails(&log, 1);
         // Pipeline is now permanently failed.
         for _ in 0..100 {
             if log.is_failed() {

@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! Deterministic trace-driven simulator used by the benchmark harness to
 //! regenerate the paper's evaluation figures (§5).

@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! Rank-checked lock facade for the Pravega workspace.
 //!

@@ -397,12 +397,14 @@ impl LedgerWriter {
     /// its bookie) when this returns, so each in-flight append has completed
     /// or failed.
     pub fn close(self) -> Option<u64> {
-        pravega_sync::blocking("LedgerWriter::close");
         self.wait_drained();
         self.last_add_confirmed()
     }
 
+    /// Waits out every replica add in flight; `close` and `Drop` both come
+    /// here, so neither may run under a lock.
     fn wait_drained(&self) {
+        pravega_sync::blocking("LedgerWriter::wait_drained");
         let mut pending = self.shared.pending.lock();
         while pending.replica_adds > 0 {
             self.shared.drained.wait(&mut pending);

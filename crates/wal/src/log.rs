@@ -395,9 +395,12 @@ impl DurableDataLog for BookkeeperLog {
             // Phase 3 (locked): publish the new ledger in the metadata (a
             // concurrent truncate may have rewritten it, so apply a delta to
             // the current state rather than installing a snapshot) and
-            // install the writer.
+            // install the writer. A writer the CAS refuses comes back out
+            // unpublished, to be dropped once the lock is released: dropping
+            // a writer drains it, a blocking wait.
             inner = self.inner.lock();
             inner.rolling = false;
+            let mut unpublished = None;
             let result = swapped.and_then(|writer| {
                 inner.current_seq += 1;
                 let seq = inner.current_seq;
@@ -415,6 +418,7 @@ impl DurableDataLog for BookkeeperLog {
                     }
                     Err(_) => {
                         inner.fenced = true;
+                        unpublished = Some(writer);
                         Err(WalError::Fenced)
                     }
                 }
@@ -424,9 +428,12 @@ impl DurableDataLog for BookkeeperLog {
             // rollover (phases 1-3); attribute it.
             self.record_rollover_stall(rollover_start);
             if let Err(e) = result {
+                let ledger_seq = inner.current_seq;
+                drop(inner);
+                drop(unpublished);
                 return AppendFuture {
                     inner: Promise::ready(Err(e)),
-                    ledger_seq: inner.current_seq,
+                    ledger_seq,
                 };
             }
             // Loop back to re-run the state checks with the fresh writer.

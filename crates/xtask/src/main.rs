@@ -12,6 +12,8 @@
 //! the append path by `tests/hot_path_alloc.rs`, and the channel-capacity
 //! table and `Relaxed` orderings by this crate's `tests/source_rules.rs`.
 
+#![deny(unsafe_code)]
+
 mod benchgate;
 
 use std::path::PathBuf;

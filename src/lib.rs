@@ -11,6 +11,8 @@
 //! - [`pravega_coordination`] — ZooKeeper-like coordination service
 //! - `pravega_sim` — discrete-event simulator used by the benchmark harness
 
+#![deny(unsafe_code)]
+
 pub use pravega_client as client;
 pub use pravega_common as common;
 pub use pravega_controller as controller;

@@ -390,16 +390,6 @@ fn end_to_end_pass_activates_instruments_at_every_stage() {
             "counter {counter} recorded nothing\n{snap}"
         );
     }
-    // The batch delay is recorded once per frame, as zero for a frame that
-    // opened on an idle log.
-    let frames = snap
-        .histogram("segmentstore.durablelog.frame_bytes")
-        .unwrap();
-    let delays = snap
-        .histogram("segmentstore.durablelog.batch_delay_nanos")
-        .unwrap();
-    assert_eq!(delays.count, frames.count, "\n{snap}");
-    assert_eq!(delays.min, 0, "an idle frame waits no delay\n{snap}");
     // `wal_append` (frame opened -> ack) is `frame_open` (first op -> seal)
     // plus `wal_quorum` (submit -> ack), frame by frame.
     let mean = |name: &str| snap.histogram(name).map_or(0.0, |h| h.mean);
@@ -420,6 +410,21 @@ fn end_to_end_pass_activates_instruments_at_every_stage() {
         assert!(json.contains(key), "JSON snapshot missing {key}: {json}");
     }
     cluster.shutdown();
+
+    // The batch delay is recorded once per frame, as zero for a frame that
+    // opened on an idle log. The delay is recorded when a frame opens and
+    // its size when it seals, and the flusher keeps writing checkpoint
+    // frames until shutdown, so compare on a snapshot with no frame
+    // half-built.
+    let snap = cluster.metrics().snapshot();
+    let frames = snap
+        .histogram("segmentstore.durablelog.frame_bytes")
+        .unwrap();
+    let delays = snap
+        .histogram("segmentstore.durablelog.batch_delay_nanos")
+        .unwrap();
+    assert_eq!(delays.count, frames.count, "\n{snap}");
+    assert_eq!(delays.min, 0, "an idle frame waits no delay\n{snap}");
 }
 
 /// A caught-up event reader parks its read at the store: the wait shows in
